@@ -3,7 +3,8 @@
 Submodules: ``linmodel`` (problem generation), ``ballgeom`` (ball geometry
 and packings), ``estimators`` (constrained least squares and the Lasso),
 ``conditions`` (design diagnostics), ``bounds`` (rate and tail formulas),
-``harness`` (experiments and persistence).
+``harness`` (experiments and persistence), ``supports`` (the support
+enumeration kernel they share).
 """
 
 from .ballgeom import (

@@ -16,18 +16,15 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from .errors import (
-    ConsistencyError,
-    EnumerationBudgetError,
-    ParameterError,
-)
+from .errors import ConsistencyError, ParameterError
 from .linmodel import BallSpec
+from .supports import check_budget, support_chunks
 
 __all__ = [
     "PackingResult",
@@ -44,8 +41,6 @@ __all__ = [
     "qconvex_entropy_bound",
     "packing_to_csv",
 ]
-
-HAMMING_ENUMERATION_BUDGET = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +222,13 @@ class PackingResult:
 
 def _hypercube_points(d: int, s: int) -> np.ndarray:
     """All ternary vectors with exactly s nonzeros, in lexicographic order."""
-    rows = []
-    for support in combinations(range(d), s):
-        for signs in product((1, -1), repeat=s):
-            z = np.zeros(d, dtype=np.int8)
-            z[list(support)] = signs
-            rows.append(z)
-    return np.array(rows, dtype=np.int8)
+    signs = np.array(list(product((1, -1), repeat=s)), dtype=np.int8)
+    blocks = []
+    for supports in support_chunks(d, s, per_support=len(signs) * d):
+        points = np.zeros((len(supports), len(signs), d), dtype=np.int8)
+        np.put_along_axis(points, supports[:, None, :], signs, axis=2)
+        blocks.append(points.reshape(-1, d))
+    return np.concatenate(blocks)
 
 
 def hamming_packing(d: int, s: int) -> PackingResult:
@@ -246,12 +241,7 @@ def hamming_packing(d: int, s: int) -> PackingResult:
     """
     if s % 2 != 0 or not 2 <= s <= d:
         raise ParameterError(f"need even s with 2 <= s <= d, got s={s}, d={d}")
-    n_candidates = math.comb(d, s) * 2**s
-    if n_candidates > HAMMING_ENUMERATION_BUDGET:
-        raise EnumerationBudgetError(
-            f"hypercube enumeration would need {n_candidates} candidates "
-            f"(budget {HAMMING_ENUMERATION_BUDGET})"
-        )
+    check_budget(math.comb(d, s) * 2**s)
     threshold = s / 2.0
     cands = _hypercube_points(d, s)
     chosen = np.empty_like(cands)

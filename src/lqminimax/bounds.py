@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DimensionError, EnumerationBudgetError, ParameterError
+from .errors import DimensionError, ParameterError
+from .supports import support_chunks
 
 __all__ = [
     "RateQuery",
@@ -32,8 +32,6 @@ __all__ = [
     "log_binomial",
     "THEOREMS",
 ]
-
-SUPPORT_ENUMERATION_BUDGET = 1_000_000
 
 THEOREMS = (
     "T1a", "T1b", "T2a", "T2b_plain", "T2b_sharp",
@@ -319,19 +317,12 @@ def sup_correlation_pred_exact(X: np.ndarray, w: np.ndarray, s: int, r: float) -
     if s < 1 or r < 0:
         raise ParameterError("need s >= 1 and r >= 0")
     level = min(2 * s, d)
-    count = math.comb(d, level)
-    if count > SUPPORT_ENUMERATION_BUDGET:
-        raise EnumerationBudgetError(
-            f"C({d},{level}) = {count} supports exceeds the budget "
-            f"{SUPPORT_ENUMERATION_BUDGET}"
-        )
     best = 0.0
-    for support in combinations(range(d), level):
-        sub = X[:, support]
-        u, svals, _ = np.linalg.svd(sub, full_matrices=False)
-        keep = svals > 1e-12 * (svals[0] if svals.size else 0.0)
-        proj_norm_sq = float(np.sum((u[:, keep].T @ w) ** 2))
-        best = max(best, proj_norm_sq)
+    for supports in support_chunks(d, level, per_support=n * level):
+        u, svals, _ = np.linalg.svd(np.moveaxis(X[:, supports], 1, 0), full_matrices=False)
+        keep = svals > 1e-12 * svals[:, :1]
+        proj_norm_sq = np.sum(np.where(keep, w @ u, 0.0) ** 2, axis=1)
+        best = max(best, float(proj_norm_sq.max()))
     return float(r * math.sqrt(best) / math.sqrt(n))
 
 

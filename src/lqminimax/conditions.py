@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
 from scipy.linalg import null_space
 
-from .errors import ConsistencyError, DimensionError, EnumerationBudgetError, ParameterError
+from .errors import ConsistencyError, DimensionError, ParameterError
 from .linmodel import BallSpec, DesignSpec, symmetric_sqrt
+from .supports import support_chunks
 
 __all__ = [
     "REParams",
@@ -41,8 +41,8 @@ __all__ = [
     "in_cone",
 ]
 
-SUBMATRIX_ENUMERATION_BUDGET = 1_000_000
-_CHUNK = 50_000
+# re_constant adds the cone corners to its samples only up to this many supports
+CORNER_LIMIT = 5000
 
 # tail/head mass ratios used to build cone samples; fixed so the admitted
 # candidate set only grows with c0, making the sampled estimate monotone
@@ -67,35 +67,28 @@ def column_norm_constant(X: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _support_singular_values(X: np.ndarray, level: int):
-    """Yield (supports_chunk, singular_values_chunk) over all size-``level`` supports.
+def _sparse_scan(X: np.ndarray, level: int) -> tuple[float, float, bool]:
+    """One pass over every n x ``level`` column submatrix X_S of X.
 
-    Works on the R factor of X = QR, which shares singular values with X and
-    keeps the batched SVDs small.
+    Returns kappa_l and kappa_u, the min and max of sigma(X_S) / sqrt(n)
+    over all supports (kappa_l is 0 when level > n forces a null
+    direction), and whether every X_S has full column rank, judged with a
+    1e-10 relative cutoff per submatrix.  Works on the R factor of X = QR,
+    which shares singular values with X and keeps the batched SVDs small.
     """
     n, d = X.shape
-    count = math.comb(d, level)
-    if count > SUBMATRIX_ENUMERATION_BUDGET:
-        raise EnumerationBudgetError(
-            f"C({d},{level}) = {count} submatrices exceeds the budget "
-            f"{SUBMATRIX_ENUMERATION_BUDGET}; use a sampled mode"
-        )
+    chunks = support_chunks(d, level, per_support=min(n, d) * level)
     r_factor = np.linalg.qr(X, mode="r")
-    combos = combinations(range(d), level)
-    while True:
-        chunk = []
-        for _ in range(_CHUNK):
-            nxt = next(combos, None)
-            if nxt is None:
-                break
-            chunk.append(nxt)
-        if not chunk:
-            return
-        supports = np.array(chunk, dtype=np.intp)
-        sub = r_factor[:, supports]  # (rows, m, level)
-        sub = np.moveaxis(sub, 1, 0)  # (m, rows, level)
-        svals = np.linalg.svd(sub, compute_uv=False)
-        yield supports, svals
+    smin, smax, full_rank = math.inf, 0.0, level <= n
+    for supports in chunks:
+        svals = np.linalg.svd(np.moveaxis(r_factor[:, supports], 1, 0), compute_uv=False)
+        smax = max(smax, float(svals.max()))
+        smin = min(smin, float(svals.min()))
+        full_rank = full_rank and not np.any(svals[:, -1] <= 1e-10 * svals[:, 0])
+    if level > n:
+        smin = 0.0
+    sqrt_n = math.sqrt(n)
+    return max(smin, 0.0) / sqrt_n, smax / sqrt_n, full_rank
 
 
 def sparse_spectrum(X: np.ndarray, s: int) -> tuple[float, float]:
@@ -104,21 +97,8 @@ def sparse_spectrum(X: np.ndarray, s: int) -> tuple[float, float]:
     Equals the min and max of ||X theta||_2 / (sqrt(n) ||theta||_2) over
     2s-sparse theta.  Exact; raises when C(d, 2s) exceeds the budget.
     """
-    X = np.asarray(X, dtype=float)
-    n, d = X.shape
-    level = 2 * s
-    if not 1 <= s or level > d:
-        raise ParameterError(f"need 1 <= 2s <= d, got s={s}, d={d}")
-    kappa_l = math.inf
-    kappa_u = 0.0
-    rank_limited = level > min(n, d)
-    for _, svals in _support_singular_values(X, level):
-        kappa_u = max(kappa_u, float(svals.max()))
-        kappa_l = min(kappa_l, float(svals.min()))
-    if rank_limited:
-        kappa_l = 0.0  # fewer rows than columns forces a null direction
-    sqrt_n = math.sqrt(n)
-    return max(kappa_l, 0.0) / sqrt_n, kappa_u / sqrt_n
+    kappa_l, kappa_u, _ = _sparse_scan(np.asarray(X, dtype=float), 2 * s)
+    return kappa_l, kappa_u
 
 
 def sparse_min_singular(X: np.ndarray, level: int) -> float:
@@ -127,12 +107,9 @@ def sparse_min_singular(X: np.ndarray, level: int) -> float:
     n, d = X.shape
     if not 1 <= level <= d:
         raise ParameterError(f"need 1 <= level <= d, got {level}")
-    if level > min(n, d):
+    if level > n:
         return 0.0
-    worst = math.inf
-    for _, svals in _support_singular_values(X, level):
-        worst = min(worst, float(svals.min()))
-    return max(worst, 0.0) / math.sqrt(n)
+    return _sparse_scan(X, level)[0]
 
 
 def kernel_trivial_zero(X: np.ndarray, s: int) -> bool:
@@ -143,15 +120,9 @@ def kernel_trivial_zero(X: np.ndarray, s: int) -> bool:
     """
     X = np.asarray(X, dtype=float)
     n, d = X.shape
-    level = 2 * s
-    if level > d:
+    if 2 * s > d:
         raise ParameterError(f"need 2s <= d, got s={s}, d={d}")
-    if level > n:
-        return False
-    for _, svals in _support_singular_values(X, level):
-        if np.any(svals[:, -1] <= 1e-10 * svals[:, 0]):
-            return False
-    return True
+    return 2 * s <= n and _sparse_scan(X, 2 * s)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -208,21 +179,21 @@ def _ratio(X: np.ndarray, theta: np.ndarray) -> float:
     return float(np.linalg.norm(X @ theta) / (math.sqrt(X.shape[0]) * nrm))
 
 
-def _corner_directions(X: np.ndarray, s: int, budget: int = 5000):
+def _corner_directions(X: np.ndarray, s: int):
     """Bottom singular directions of every s-column submatrix (cone corners).
 
     These realize the exact minimum of the ratio over s-sparse vectors, so a
     sampled estimate that includes them is never above that minimum.
+    Skipped when there are more than CORNER_LIMIT supports.
     """
     n, d = X.shape
-    if math.comb(d, s) > budget:
+    if math.comb(d, s) > CORNER_LIMIT:
         return
-    for support in combinations(range(d), s):
-        sub = X[:, support]
-        _, _, vt = np.linalg.svd(sub, full_matrices=False)
-        theta = np.zeros(d)
-        theta[list(support)] = vt[-1]
-        yield theta
+    for supports in support_chunks(d, s, per_support=n * s):
+        _, _, vt = np.linalg.svd(np.moveaxis(X[:, supports], 1, 0), full_matrices=False)
+        thetas = np.zeros((len(supports), d))
+        np.put_along_axis(thetas, supports, vt[:, -1, :], axis=1)
+        yield from thetas
 
 
 def _cone_samples(X: np.ndarray, params: REParams, n_samples: int, seed: int):
@@ -509,7 +480,13 @@ def diagnose(
     X = np.asarray(X, dtype=float)
     if ball is None:
         ball = BallSpec(q=0.0, radius=float(s))
-    kappa_l, kappa_u = sparse_spectrum(X, s)
+    # one scan at level 2s gives the spectrum, the kernel test, and the
+    # diameter of the default ball B_0(s)
+    kappa_l, kappa_u, full_rank = _sparse_scan(X, 2 * s)
+    if ball.q == 0.0 and ball.s == s:
+        diam2 = 0.0 if full_rank else math.inf
+    else:
+        diam2 = kernel_diameter(X, ball, p=2.0, n_samples=n_samples, seed=seed)
     mode = "exact_tiny" if X.shape[1] <= 12 else "sampled"
     re = re_constant(X, REParams(s=s, c0=c0), mode=mode, n_samples=n_samples, seed=seed)
     return DesignDiagnostics(
@@ -518,8 +495,8 @@ def diagnose(
         kappa_u=kappa_u,
         re_constant=re.value,
         re_method=re.method,
-        kernel_trivial=kernel_trivial_zero(X, s),
-        diam2_estimate=kernel_diameter(X, ball, p=2.0, n_samples=n_samples, seed=seed),
+        kernel_trivial=full_rank,
+        diam2_estimate=diam2,
         f_l_name=f_l_name,
         f_l_value=f_l_value,
     )

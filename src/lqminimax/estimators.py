@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, islice
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .ballgeom import ball_contains, project_l1, project_lq_heuristic
-from .errors import DimensionError, EnumerationBudgetError, ParameterError
+from .errors import DimensionError, ParameterError
 from .linmodel import BallSpec, ProblemInstance
+from .supports import check_budget, support_chunks
 
 __all__ = [
     "EstimateResult",
@@ -30,9 +30,6 @@ __all__ = [
     "check_basic_inequality",
     "sigma_max_power_iteration",
 ]
-
-L0_ENUMERATION_BUDGET = 10_000_000
-_ENUM_CHUNK = 200_000
 
 
 @dataclass
@@ -89,13 +86,13 @@ def sigma_max_power_iteration(X: np.ndarray, rel_tol: float = 1e-6,
 
 
 def _scalar_identity_factor(X: np.ndarray) -> Optional[float]:
-    """c such that X == c * I, or None."""
+    """c such that X == c * I with c finite and nonzero, or None."""
     n, d = X.shape
     if n != d:
         return None
     diag = np.diagonal(X)
     c = diag[0]
-    if c == 0.0 or not np.all(diag == c):
+    if c == 0.0 or not math.isfinite(c) or not np.all(diag == c):
         return None
     if np.count_nonzero(X) != n:
         return None
@@ -127,10 +124,12 @@ def l0_least_squares(X: np.ndarray, y: np.ndarray, s: int) -> EstimateResult:
     """Exact least squares over the l0-ball: min ||y - X b||_2^2 s.t. ||b||_0 <= s.
 
     Enumerates every size-s support in lexicographic order and solves the
-    normal equations on each (minimum-norm via SVD with 1e-12 relative cutoff
-    when a submatrix is rank deficient); ties go to the lexicographically
+    normal equations on each; a support whose Gram block is exactly
+    singular, or whose solve is not trustworthy, is redone by minimum-norm
+    lstsq with a 1e-12 relative cutoff.  Ties go to the lexicographically
     smallest support.  Scalar multiples of the identity take an exact
     top-s shortcut instead, which makes sequence-model sizes feasible.
+    Non-finite entries in X or y raise ParameterError.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -139,70 +138,70 @@ def l0_least_squares(X: np.ndarray, y: np.ndarray, s: int) -> EstimateResult:
         raise DimensionError(f"y has shape {y.shape}, expected ({n},)")
     if not 1 <= s <= d:
         raise ParameterError(f"need 1 <= s <= d, got s={s}, d={d}")
+    if not np.all(np.isfinite(y)):
+        raise ParameterError("y has non-finite entries")
 
     c = _scalar_identity_factor(X)
     if c is not None:
         return _l0_identity(X, y, s, c)
 
     n_supports = math.comb(d, s)
-    if n_supports > L0_ENUMERATION_BUDGET:
-        raise EnumerationBudgetError(
-            f"C({d},{s}) = {n_supports} supports exceeds the "
-            f"budget {L0_ENUMERATION_BUDGET}"
-        )
-
-    gram = X.T @ X
-    corr = X.T @ y
+    check_budget(n_supports)
+    with np.errstate(invalid="ignore", over="ignore"):
+        gram = X.T @ X
+        corr = X.T @ y
+    # a non-finite entry of X reaches its column's diagonal Gram entry
+    if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(corr))):
+        raise ParameterError("X^T X is not finite: X has non-finite or overflowing entries")
     yy = float(y @ y)
 
     best_obj = math.inf
     best_support: Optional[np.ndarray] = None
-    combos = combinations(range(d), s)
-    examined = 0
-    while True:
-        chunk = np.array(list(islice(combos, _ENUM_CHUNK)), dtype=np.intp)
-        if chunk.size == 0:
-            break
-        examined += chunk.shape[0]
+    for chunk in support_chunks(d, s, per_support=s * s):
         resid = _chunk_residuals(X, y, gram, corr, yy, chunk)
         k = int(np.argmin(resid))
         if resid[k] < best_obj:
             best_obj = float(resid[k])
             best_support = chunk[k]
 
-    support = best_support
-    b, *_ = np.linalg.lstsq(X[:, support], y, rcond=1e-12)
+    b, *_ = np.linalg.lstsq(X[:, best_support], y, rcond=1e-12)
     beta = np.zeros(d)
-    beta[support] = b
-    r = y - X[:, support] @ b
+    beta[best_support] = b
+    r = y - X[:, best_support] @ b
     return EstimateResult(
         beta_hat=beta,
         objective=float(r @ r),
         support=tuple(int(j) for j in np.flatnonzero(beta)),
-        iterations=examined,
+        iterations=n_supports,
         converged=True,
         feasible=True,
-        info={"method": "l0_enumeration", "n_supports": examined},
+        info={"method": "l0_enumeration", "n_supports": n_supports},
     )
 
 
 def _chunk_residuals(X, y, gram, corr, yy, supports) -> np.ndarray:
-    """Residual ||y - X_S b_S||^2 for every support row, via the Gram matrix."""
-    g_ss = gram[supports[:, :, None], supports[:, None, :]]
+    """Residual ||y - X_S b_S||^2 for every support row, via the Gram matrix.
+
+    Supports whose block is exactly singular, whose solution is not finite
+    or whose residual fails the cancellation guard are redone with lstsq.
+    """
+    d = gram.shape[0]
+    g_ss = np.take(gram, supports[:, :, None] * d + supports[:, None, :])
     c_s = corr[supports]
     try:
         sol = np.linalg.solve(g_ss, c_s[..., None])[..., 0]
-        if not np.all(np.isfinite(sol)):
-            raise np.linalg.LinAlgError
-        resid = yy - np.einsum("ms,ms->m", c_s, sol)
-        if resid.min() < -1e-8 * max(yy, 1.0):
-            raise np.linalg.LinAlgError  # cancellation blew up; redo carefully
     except np.linalg.LinAlgError:
-        resid = np.empty(supports.shape[0])
-        for i, sup in enumerate(supports):
-            b, *_ = np.linalg.lstsq(X[:, sup], y, rcond=1e-12)
-            r = y - X[:, sup] @ b
-            resid[i] = r @ r
+        # the blocks are symmetric, so slogdet's LU is solve's: sign 0 marks a zero pivot
+        regular = np.linalg.slogdet(g_ss)[0] != 0.0
+        sol = np.full_like(c_s, np.nan)
+        sol[regular] = np.linalg.solve(g_ss[regular], c_s[regular, :, None])[..., 0]
+    resid = yy - np.einsum("ms,ms->m", c_s, sol)
+    trusted = np.all(np.isfinite(sol), axis=1) & (resid >= -1e-8 * max(yy, 1.0))
+    for i in np.flatnonzero(~trusted):
+        sup = supports[i]
+        b, *_ = np.linalg.lstsq(X[:, sup], y, rcond=1e-12)
+        r = y - X[:, sup] @ b
+        resid[i] = r @ r
     return np.maximum(resid, 0.0)
 
 

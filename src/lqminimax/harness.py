@@ -543,7 +543,7 @@ CSV_HEADER = "n,d,trial,seed,loss_l2,loss_pred,objective_ok,wall_ms"
 def persist(obj, path, format: str = "csv",
             config_hash_value: Optional[str] = None,
             seed_root: Optional[int] = None) -> None:
-    """Write records, diagnostics, or fit results to CSV or JSON.
+    """Write records to CSV or JSON, and diagnostics or fit results to JSON.
 
     Every file starts with (or embeds) the config hash and root seed; JSON
     output round-trips losslessly through ``load_records``.
@@ -559,17 +559,11 @@ def persist(obj, path, format: str = "csv",
                          seed_root if seed_root is not None else -1, [])
         return
     if hasattr(obj, "to_json_dict"):
-        doc = obj.to_json_dict()
-        if format == "json":
-            with open(path, "w") as fh:
-                json.dump(doc, fh, sort_keys=True)
-        elif format == "csv":
-            flat = {k: v for k, v in doc.items() if not isinstance(v, (list, dict))}
-            with open(path, "w") as fh:
-                fh.write(",".join(flat.keys()) + "\n")
-                fh.write(",".join(str(v) for v in flat.values()) + "\n")
-        else:
-            raise ParameterError(f"unknown format {format!r}")
+        if format != "json":
+            raise ParameterError(
+                f"{type(obj).__name__} persists as JSON only, got format {format!r}")
+        with open(path, "w") as fh:
+            json.dump(obj.to_json_dict(), fh, sort_keys=True)
         return
     raise ParameterError(f"cannot persist object of type {type(obj).__name__}")
 

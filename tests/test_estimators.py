@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from lqminimax import supports
 from lqminimax.errors import EnumerationBudgetError, ParameterError
 from lqminimax.estimators import (
     check_basic_inequality,
@@ -100,6 +101,48 @@ class TestL0:
         fast = l0_least_squares(np.eye(9), y, 3)
         slow = l0_least_squares(np.eye(9) + np.full((9, 9), 1e-300), y, 3)
         assert fast.objective == pytest.approx(slow.objective, rel=1e-12)
+
+    def test_ties_across_chunks_lexicographic(self, monkeypatch):
+        # column 5 duplicates column 2, so supports (0, 2) and (0, 5) fit y
+        # through identical arithmetic; two supports per chunk split them
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((10, 8))
+        X[:, 5] = X[:, 2]
+        y = X[:, 0] + X[:, 2]
+        monkeypatch.setattr(supports, "CHUNK_ENTRIES", 2 * 2 * 2)
+        chunks = [[tuple(r) for r in c] for c in supports.support_chunks(8, 2, per_support=4)]
+        assert not any((0, 2) in c and (0, 5) in c for c in chunks)
+        res = l0_least_squares(X, y, s=2)
+        assert res.support == (0, 2)
+
+    @pytest.mark.parametrize("defect", ["duplicate", "zero"])
+    def test_rank_deficient_column_matches_brute_force(self, defect):
+        rng = np.random.default_rng(24)
+        X = rng.standard_normal((40, 24))
+        X[:, 17] = X[:, 3] if defect == "duplicate" else 0.0
+        y = X[:, [1, 3, 8, 20]] @ np.array([1.0, -1.0, 0.5, 2.0]) + rng.standard_normal(40)
+        res = l0_least_squares(X, y, s=4)
+        _, obj = brute_force_l0(X, y, 4)
+        assert abs(res.objective - obj) <= 1e-10 * max(obj, 1.0)
+
+    @pytest.mark.parametrize("X", [np.eye(4), np.random.default_rng(4).standard_normal((6, 4))],
+                             ids=["identity", "gaussian"])
+    def test_nonfinite_y_rejected(self, X):
+        y = np.ones(X.shape[0])
+        y[1] = np.nan
+        with pytest.raises(ParameterError, match="y has non-finite"):
+            l0_least_squares(X, y, s=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_X_rejected(self, bad):
+        X = np.random.default_rng(6).standard_normal((6, 4))
+        X[2, 1] = bad
+        with pytest.raises(ParameterError, match="not finite"):
+            l0_least_squares(X, np.ones(6), s=2)
+
+    def test_infinite_identity_not_a_shortcut(self):
+        with pytest.raises(ParameterError, match="not finite"):
+            l0_least_squares(np.diag([np.inf] * 3), np.ones(3), s=1)
 
 
 class TestL1Constrained:

@@ -216,6 +216,12 @@ class TestPersist:
         doc = json.loads((tmp_path / "fit.json").read_text())
         assert doc["slope"] == pytest.approx(-1.0)
 
+    def test_fit_csv_rejected(self, tmp_path):
+        fit = fit_rate_slope(_synthetic_records(lambda n: 1.0 / n))
+        with pytest.raises(ParameterError, match="JSON only"):
+            persist(fit, tmp_path / "fit.csv", format="csv")
+        assert not (tmp_path / "fit.csv").exists()
+
     def test_diagnostics_persist(self, tmp_path):
         from lqminimax.conditions import diagnose
 
