@@ -33,9 +33,10 @@ for loss_kind in ("l2", "pred"):
     for n, d, x, trimmed, raw in fit.cells:
         print(f"   n={n:5d}  trimmed mean {trimmed:.5f}  raw {raw:.5f}")
 
-out = pathlib.Path(tempfile.mkdtemp())
-persist(run, out / "records.csv", format="csv")
-persist(run, out / "records.json", format="json")
-fit = fit_rate_slope(run.records, "l2", predictor="n", q=0.0)
-plot_fit_svg(fit, out / "fit.svg")
-print("wrote", sorted(p.name for p in out.iterdir()), "to", out)
+with tempfile.TemporaryDirectory() as tmp:
+    out = pathlib.Path(tmp)
+    persist(run, out / "records.csv", format="csv")
+    persist(run, out / "records.json", format="json")
+    fit = fit_rate_slope(run.records, "l2", predictor="n", q=0.0)
+    plot_fit_svg(fit, out / "fit.svg")
+    print("wrote", sorted(p.name for p in out.iterdir()), "to", out, "(removed on exit)")

@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Union
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -179,7 +179,7 @@ def _pairwise_distances(points: np.ndarray, metric: Metric) -> np.ndarray:
 def _point_distances(points: np.ndarray, z: np.ndarray, metric: Metric) -> np.ndarray:
     """Distances from each row of ``points`` to the single point ``z``."""
     if metric == "hamming":
-        return np.count_nonzero(points != z, axis=1).astype(float)
+        return np.count_nonzero(points != z, axis=1)
     if metric == "l2":
         return np.linalg.norm(points - z, axis=1)
     if isinstance(metric, tuple) and metric[0] == "lp":
@@ -242,18 +242,7 @@ def hamming_packing(d: int, s: int) -> PackingResult:
     if s % 2 != 0 or not 2 <= s <= d:
         raise ParameterError(f"need even s with 2 <= s <= d, got s={s}, d={d}")
     check_budget(math.comb(d, s) * 2**s)
-    threshold = s / 2.0
-    cands = _hypercube_points(d, s)
-    chosen = np.empty_like(cands)
-    m = 0
-    for z in cands:
-        if m == 0 or np.count_nonzero(chosen[:m] != z, axis=1).min() >= threshold:
-            chosen[m] = z
-            m += 1
-    points = chosen[:m].astype(float)
-    result = PackingResult(points=points,
-                           min_pairwise_distance=_exact_min_distance(points, "hamming"),
-                           metric="hamming", delta=threshold)
+    result = greedy_pack(_hypercube_points(d, s), s / 2.0, "hamming")
     bound = required_hamming_cardinality(d, s)
     if result.cardinality < bound:
         raise ConsistencyError(
@@ -297,29 +286,32 @@ def rescale_hypercube_packing(packing: PackingResult, delta_n: float, s: int) ->
 
 
 def greedy_pack(
-    candidates: Iterable[np.ndarray],
+    candidates: Union[np.ndarray, Iterable[np.ndarray]],
     delta: float,
     metric: Metric = "l2",
-    max_points: Optional[int] = None,
 ) -> PackingResult:
-    """First-fit greedy packing over a candidate stream.
+    """First-fit greedy packing over candidate points, in the given order.
 
     The result is always a valid delta-packing, so its cardinality is a lower
-    bound on the packing number M(delta).  Shuffle the stream (with a fixed
-    seed) before calling if order bias matters.
+    bound on the packing number M(delta).  Shuffle the candidates (with a
+    fixed seed) before calling if order bias matters.  Hamming scans keep the
+    candidates' dtype (they only compare entries); the points come out float.
     """
     if delta <= 0:
         raise ParameterError(f"delta must be positive, got {delta}")
-    chosen: list[np.ndarray] = []
-    arr: Optional[np.ndarray] = None
-    for cand in candidates:
-        cand = np.asarray(cand, dtype=float)
-        if arr is None or _point_distances(arr, cand, metric).min() >= delta:
-            chosen.append(cand)
-            arr = np.array(chosen)
-            if max_points is not None and len(chosen) >= max_points:
-                break
-    points = np.array(chosen) if chosen else np.zeros((0, 0))
+    cands = np.asarray(candidates if isinstance(candidates, np.ndarray)
+                       else list(candidates))
+    if not cands.size:
+        cands = np.zeros((0, 0))
+    if metric != "hamming":
+        cands = cands.astype(float, copy=False)
+    chosen = np.empty_like(cands)
+    m = 0
+    for z in cands:
+        if m == 0 or _point_distances(chosen[:m], z, metric).min() >= delta:
+            chosen[m] = z
+            m += 1
+    points = chosen[:m].astype(float)
     return PackingResult(points=points,
                          min_pairwise_distance=_exact_min_distance(points, metric),
                          metric=metric, delta=float(delta))

@@ -14,13 +14,7 @@ import sys
 import numpy as np
 
 from . import ballgeom, bounds, conditions, harness, linmodel
-from .estimators import (
-    check_basic_inequality,
-    l0_least_squares,
-    l1_constrained_ls,
-    lasso,
-    lq_constrained_ls,
-)
+from .estimators import check_basic_inequality
 
 
 def _emit(doc: dict) -> None:
@@ -44,15 +38,10 @@ def _cmd_simulate(args) -> int:
            "beta_support": np.flatnonzero(beta).tolist()}
 
     if args.estimator != "none":
+        estimator = {"kind": args.estimator, "radius": args.radius, "lam": args.lam}
         if args.estimator == "l0":
-            result = l0_least_squares(inst.X, inst.y, args.s or ball.s)
-        elif args.estimator == "l1":
-            result = l1_constrained_ls(inst.X, inst.y, args.radius)
-        elif args.estimator == "lq":
-            result = lq_constrained_ls(inst.X, inst.y, ball,
-                                       [inst.beta_star, np.zeros(inst.d)])
-        elif args.estimator == "lasso":
-            result = lasso(inst.X, inst.y, args.lam)
+            estimator["s"] = args.s or ball.s
+        result = harness._run_estimator(estimator, inst)
         check = check_basic_inequality(inst, result)
         doc["estimate"] = result.to_json_dict()
         doc["losses"] = {
@@ -111,10 +100,9 @@ def _cmd_check_design(args) -> int:
 def _cmd_fit_rate(args) -> int:
     with open(args.config) as fh:
         doc = json.load(fh)
-    config = harness.ExperimentConfig.from_json_dict(doc)
     if args.seed is not None:
         doc["seed_root"] = args.seed
-        config = harness.ExperimentConfig.from_json_dict(doc)
+    config = harness.ExperimentConfig.from_json_dict(doc)
     run = harness.run_risk_experiment(config, n_workers=args.workers)
     fit = harness.fit_rate_slope(run.records, loss_kind=args.loss,
                                  predictor=args.predictor, q=config.ball.q,

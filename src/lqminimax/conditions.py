@@ -232,8 +232,9 @@ def re_constant(
     X = np.asarray(X, dtype=float)
     n, d = X.shape
     if params.s >= d:
-        # the cone is all of R^d: no tail coordinates exist
-        smin = np.linalg.svd(X, compute_uv=False)[-1]
+        # the cone is all of R^d: no tail coordinates exist, and for n < d
+        # the kernel of X lies in it
+        smin = np.linalg.svd(X, compute_uv=False)[-1] if n >= d else 0.0
         method = "exact_tiny" if mode == "exact_tiny" else "sampled_upper"
         return REEstimate(float(smin) / math.sqrt(n), method)
 

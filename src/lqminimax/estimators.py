@@ -31,6 +31,8 @@ __all__ = [
     "sigma_max_power_iteration",
 ]
 
+LASSO_PATH_STEPS = 50  # penalties on the lasso's geometric warm-start ladder
+
 
 @dataclass
 class EstimateResult:
@@ -58,6 +60,13 @@ class EstimateResult:
 
 def _json_ok(v) -> bool:
     return isinstance(v, (int, float, bool, str, list, tuple, type(None)))
+
+
+def _require_finite(**arrays: np.ndarray) -> None:
+    """Raise ParameterError naming the first argument with a NaN or inf entry."""
+    for name, a in arrays.items():
+        if not np.all(np.isfinite(a)):
+            raise ParameterError(f"{name} has non-finite entries")
 
 
 def sigma_max_power_iteration(X: np.ndarray, rel_tol: float = 1e-6,
@@ -138,8 +147,7 @@ def l0_least_squares(X: np.ndarray, y: np.ndarray, s: int) -> EstimateResult:
         raise DimensionError(f"y has shape {y.shape}, expected ({n},)")
     if not 1 <= s <= d:
         raise ParameterError(f"need 1 <= s <= d, got s={s}, d={d}")
-    if not np.all(np.isfinite(y)):
-        raise ParameterError("y has non-finite entries")
+    _require_finite(y=y)
 
     c = _scalar_identity_factor(X)
     if c is not None:
@@ -231,6 +239,7 @@ def l1_constrained_ls(
     y = np.asarray(y, dtype=float)
     if r1 <= 0:
         raise ParameterError(f"r1 must be positive, got {r1}")
+    _require_finite(X=X, y=y)
     # power iteration approaches sigma_max from below; pad so 1/L never overshoots
     lip = (sigma_max_power_iteration(X) * (1.0 + 1e-5)) ** 2
     beta = np.zeros(X.shape[1]) if start is None else project_l1(np.asarray(start, float), r1)
@@ -295,6 +304,7 @@ def lq_constrained_ls(
         raise ParameterError("need at least one start")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
+    _require_finite(X=X, y=y)
     lip = (sigma_max_power_iteration(X) * (1.0 + 1e-5)) ** 2
     step = 1.0 / lip if lip > 0 else 1.0
 
@@ -351,7 +361,6 @@ def lasso(
     lam: float,
     max_iter: int = 10_000,
     tol: float = 1e-10,
-    path_steps: int = 50,
 ) -> EstimateResult:
     """Cyclic coordinate descent for (1/2n)||y - X b||_2^2 + lam ||b||_1.
 
@@ -367,6 +376,7 @@ def lasso(
     y = np.asarray(y, dtype=float)
     if lam < 0:
         raise ParameterError(f"lambda must be nonnegative, got {lam}")
+    _require_finite(X=X, y=y)
     n, d = X.shape
     col_sq = np.einsum("ij,ij->j", X, X) / n
     skipped = np.flatnonzero(col_sq == 0.0)
@@ -374,8 +384,8 @@ def lasso(
     resid = y.copy()
 
     lam_max = float(np.abs(X.T @ y).max()) / n if d else 0.0
-    if path_steps > 1 and 0.0 <= lam < lam_max:
-        ladder = list(np.geomspace(lam_max, max(lam, lam_max * 1e-10), path_steps))
+    if lam < lam_max:
+        ladder = list(np.geomspace(lam_max, max(lam, lam_max * 1e-10), LASSO_PATH_STEPS))
         if ladder[-1] != lam:
             ladder.append(lam)
     else:

@@ -73,6 +73,9 @@ TRIM_FRACTION = 0.02  # trimmed-mean risk estimate; raw means are kept too
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One risk sweep.  For ``design_kind="identity_sequence"`` (the sequence
+    model, d = n) ``sigma`` is tau: the noise level is tau / sqrt(n)."""
+
     ball: BallSpec
     sigma: float
     n_grid: tuple
@@ -101,6 +104,10 @@ class ExperimentConfig:
             raise ParameterError("need at least one trial per cell")
         if self.d_rule[0] not in ("fixed", "proportional"):
             raise ParameterError(f"unknown d_rule {self.d_rule!r}")
+        if (self.design_kind == "identity_sequence"
+                and tuple(self.d_rule) != ("proportional", 1.0)):
+            raise ParameterError(
+                f"identity_sequence needs d_rule ('proportional', 1.0), got {self.d_rule!r}")
 
     def dim_at(self, n: int) -> int:
         kind, value = self.d_rule
@@ -202,8 +209,12 @@ class ExperimentRun:
 # ---------------------------------------------------------------------------
 
 
-def _run_estimator(config: ExperimentConfig, inst: ProblemInstance) -> EstimateResult:
-    est = config.estimator
+def _run_estimator(est: dict, inst: ProblemInstance) -> EstimateResult:
+    """Run the estimator described by ``est`` on ``inst``; lq reads ``inst.ball``.
+
+    lq starts from the truth and from zero (an oracle warm start, so its
+    objective is never worse than at the truth).
+    """
     kind = est["kind"]
     if kind == "l0":
         return l0_least_squares(inst.X, inst.y, int(est["s"]))
@@ -214,11 +225,8 @@ def _run_estimator(config: ExperimentConfig, inst: ProblemInstance) -> EstimateR
             tol=float(est.get("tol", 1e-8)),
         )
     if kind == "lq":
-        starts = [np.zeros(inst.d)]
-        if est.get("oracle_start", True):
-            starts.insert(0, inst.beta_star)
         return lq_constrained_ls(
-            inst.X, inst.y, config.ball, starts,
+            inst.X, inst.y, inst.ball, [inst.beta_star, np.zeros(inst.d)],
             max_iter=int(est.get("max_iter", 2_000)),
             tol=float(est.get("tol", 1e-9)),
         )
@@ -232,22 +240,23 @@ def _run_estimator(config: ExperimentConfig, inst: ProblemInstance) -> EstimateR
 def _run_trial(config: ExperimentConfig, n: int, d: int, trial: int) -> TrialRecord:
     seed = derive_seed(config.seed_root, n, d, trial)
     start = time.perf_counter()
-    if config.design_kind == "identity_sequence":
-        X = np.eye(n)
-    else:
-        cov = None if config.sigma_cov is None else np.array(config.sigma_cov, float)
-        X = generate_design(DesignSpec(kind=config.design_kind, n=n, d=d,
-                                       seed=derive_seed(seed, 1), sigma_cov=cov))
     if config.beta_magnitude_rule == "threshold_logd":
         magnitude = config.sigma * math.sqrt(2.0 * math.log(d) / n)
     elif config.beta_magnitude_rule == "constant":
         magnitude = config.beta_magnitude
     else:
         raise ParameterError(f"unknown magnitude rule {config.beta_magnitude_rule!r}")
-    beta = generate_sparse_beta(config.ball, d, pattern=config.beta_pattern,
-                                magnitude=magnitude, seed=derive_seed(seed, 2))
-    inst = simulate(X, beta, config.sigma, seed=seed, ball=config.ball)
-    result = _run_estimator(config, inst)
+    if config.design_kind == "identity_sequence":
+        inst = sequence_model_instance(n, config.sigma, config.ball, seed=seed,
+                                       pattern=config.beta_pattern, magnitude=magnitude)
+    else:
+        cov = None if config.sigma_cov is None else np.array(config.sigma_cov, float)
+        X = generate_design(DesignSpec(kind=config.design_kind, n=n, d=d,
+                                       seed=derive_seed(seed, 1), sigma_cov=cov))
+        beta = generate_sparse_beta(config.ball, d, pattern=config.beta_pattern,
+                                    magnitude=magnitude, seed=derive_seed(seed, 2))
+        inst = simulate(X, beta, config.sigma, seed=seed, ball=config.ball)
+    result = _run_estimator(config.estimator, inst)
     check = check_basic_inequality(inst, result)
     if config.estimator["kind"] == "l0" and not check.objective_ok:
         raise ConsistencyError(
@@ -343,6 +352,8 @@ def _predictor_value(predictor: str, n: int, d: int, q: float,
         if radius is None:
             raise ParameterError("predictor rq_logd_n_pow needs the ball radius")
         return radius * (math.log(d) / n) ** (1.0 - q / 2.0)
+    if predictor == "two_logn_over_n":
+        return 2.0 * math.log(n) / n
     raise ParameterError(f"unknown predictor {predictor!r}")
 
 
@@ -358,8 +369,8 @@ def fit_rate_slope(
 
     Cell risk is the 2%-trimmed mean over trials (raw means kept alongside);
     zero-mean cells are excluded and counted.  The theoretical slope is -1
-    (q = 0) or -(1 - q/2) against n, and +1 against the composite
-    predictors.
+    (q = 0) or -(1 - q/2) against n, 1 - q/2 against the sequence model's
+    2 log n / n, and +1 against the composite predictors.
     """
     by_cell: dict = {}
     for rec in records:
@@ -386,6 +397,8 @@ def fit_rate_slope(
     r_squared = 1.0 - float(resid @ resid) / float(total @ total)
     if predictor == "n":
         theoretical = -1.0 if q == 0.0 else -(1.0 - q / 2.0)
+    elif predictor == "two_logn_over_n":
+        theoretical = 1.0 - q / 2.0
     else:
         theoretical = 1.0
     return RateFitResult(slope=float(slope), intercept=float(intercept),
@@ -490,47 +503,24 @@ def corollary1_experiment(
     Spikes are placed at the detection threshold tau sqrt(2 log n / n): with
     constant large spikes the risk decays parametrically at 1/n and the
     log-factor the theory predicts would be invisible.  Only the certified
-    q = 0 and q = 1 estimators are allowed.
+    q = 0 and q = 1 estimators are allowed.  Runs as an ``identity_sequence``
+    config through ``run_risk_experiment`` and ``fit_rate_slope``.
     """
     if ball.q not in (0.0, 1.0):
         raise ParameterError("only the certified q = 0 and q = 1 estimators run here")
     if len(n_grid) < 3:
         raise ParameterError(f"need at least 3 grid points, got {len(n_grid)}")
-    records = []
-    for n in n_grid:
-        magnitude = tau * math.sqrt(2.0 * math.log(n) / n)
-        for trial in range(trials_per_cell):
-            seed = derive_seed(seed_root, n, n, trial)
-            inst = sequence_model_instance(n, tau, ball, seed=seed,
-                                           magnitude=magnitude)
-            if ball.q == 0.0:
-                result = l0_least_squares(inst.X, inst.y, ball.s)
-            else:
-                result = l1_constrained_ls(inst.X, inst.y, ball.radius)
-            l2 = loss(LossSpec.l2(), None, result.beta_hat, inst.beta_star)
-            records.append(TrialRecord(n=n, d=n, trial=trial, seed=seed,
-                                       losses={"l2": l2},
-                                       objective_ok=True, wall_ms=0.0))
-
-    by_cell: dict = {}
-    for rec in records:
-        by_cell.setdefault(rec.n, []).append(rec.losses["l2"])
-    xs, ys, cells = [], [], []
-    for n in sorted(by_cell):
-        vals = np.array(by_cell[n])
-        trimmed = _trimmed_mean(vals)
-        xs.append(math.log(2.0 * math.log(n) / n))
-        ys.append(math.log(trimmed))
-        cells.append((n, n, 2.0 * math.log(n) / n, trimmed, float(vals.mean())))
-    slope, intercept = np.polyfit(xs, ys, 1)
-    fitted = slope * np.array(xs) + intercept
-    resid = np.array(ys) - fitted
-    total = np.array(ys) - np.mean(ys)
-    r_squared = 1.0 - float(resid @ resid) / float(total @ total)
-    return RateFitResult(slope=float(slope), intercept=float(intercept),
-                         r_squared=r_squared, n_points=len(xs), loss_kind="l2",
-                         theoretical_slope=1.0 - ball.q / 2.0,
-                         predictor="two_logn_over_n", cells=tuple(cells))
+    if ball.q == 0.0:
+        estimator = {"kind": "l0", "s": ball.s}
+    else:
+        estimator = {"kind": "l1", "radius": ball.radius}
+    config = ExperimentConfig(ball=ball, sigma=tau, n_grid=tuple(n_grid),
+                              estimator=estimator, d_rule=("proportional", 1.0),
+                              design_kind="identity_sequence",
+                              trials_per_cell=trials_per_cell, losses=(LossSpec.l2(),),
+                              seed_root=seed_root, beta_magnitude_rule="threshold_logd")
+    run = run_risk_experiment(config)
+    return fit_rate_slope(run.records, "l2", predictor="two_logn_over_n", q=ball.q)
 
 
 # ---------------------------------------------------------------------------

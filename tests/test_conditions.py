@@ -102,6 +102,12 @@ class TestREConstant:
         smin = np.linalg.svd(X, compute_uv=False)[-1] / math.sqrt(10)
         assert est.value == pytest.approx(smin, rel=1e-10)
 
+    def test_full_cone_underdetermined_is_zero(self):
+        # s >= d and n < d: the cone is R^d and contains the kernel of X
+        est = re_constant(np.ones((1, 2)), REParams(s=2, c0=1.0), mode="exact_tiny")
+        assert est.value == 0.0
+        assert est.method == "exact_tiny"
+
     def test_counterexample_zero(self):
         est = re_constant(X_COUNTER, REParams(s=1, c0=1.0), mode="exact_tiny")
         assert est.value == 0.0

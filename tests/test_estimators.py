@@ -145,6 +145,25 @@ class TestL0:
             l0_least_squares(np.diag([np.inf] * 3), np.ones(3), s=1)
 
 
+_SOLVERS = {
+    "l0": lambda X, y: l0_least_squares(X, y, s=2),
+    "l1": lambda X, y: l1_constrained_ls(X, y, 1.0),
+    "lq": lambda X, y: lq_constrained_ls(X, y, BallSpec(0.5, 1.0), [np.zeros(X.shape[1])]),
+    "lasso": lambda X, y: lasso(X, y, 0.1),
+}
+
+
+@pytest.mark.parametrize("where", ["X", "y"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("solver", sorted(_SOLVERS))
+def test_nonfinite_input_rejected(solver, bad, where):
+    X = np.random.default_rng(8).standard_normal((6, 4))
+    y = np.ones(6)
+    (X if where == "X" else y)[2] = bad
+    with pytest.raises(ParameterError, match="non-finite|not finite"):
+        _SOLVERS[solver](X, y)
+
+
 class TestL1Constrained:
     def test_interior_truth_noiseless(self):
         rng = np.random.default_rng(2)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from lqminimax import harness
 from lqminimax.cli import main as cli_main
 from lqminimax.errors import ParameterError
 from lqminimax.harness import (
@@ -20,7 +21,22 @@ from lqminimax.harness import (
     plot_fit_svg,
     run_risk_experiment,
 )
-from lqminimax.linmodel import BallSpec
+from lqminimax.estimators import (
+    BasicInequalityCheck,
+    l0_least_squares,
+    l1_constrained_ls,
+    lasso,
+    lq_constrained_ls,
+)
+from lqminimax.linmodel import (
+    BallSpec,
+    DesignSpec,
+    LossSpec,
+    generate_design,
+    generate_sparse_beta,
+    sequence_model_instance,
+    simulate,
+)
 
 
 def _tiny_config(**overrides):
@@ -193,6 +209,68 @@ class TestCorollary1:
             corollary1_experiment((64, 128, 256), 1.0, BallSpec(0.5, 2.0))
 
 
+class TestSequenceModelConfig:
+    @staticmethod
+    def _config(**overrides):
+        base = dict(ball=BallSpec(0.0, 2), sigma=1.5, n_grid=(16, 32, 64),
+                    estimator={"kind": "l0", "s": 2}, d_rule=("proportional", 1.0),
+                    design_kind="identity_sequence", trials_per_cell=2,
+                    losses=(LossSpec.l2(),), seed_root=11,
+                    beta_magnitude_rule="threshold_logd")
+        base.update(overrides)
+        return ExperimentConfig(**base)
+
+    def test_record_reproduces_sequence_model_instance(self, monkeypatch):
+        seen = []
+        real = harness._run_estimator
+
+        def spy(est, inst):
+            seen.append(inst)
+            return real(est, inst)
+
+        monkeypatch.setattr(harness, "_run_estimator", spy)
+        config = self._config()
+        records = run_risk_experiment(config).records
+        assert len(seen) == len(records) == 6
+        for rec, inst in zip(records, seen):
+            n = rec.n
+            assert rec.d == inst.d == n
+            ref = sequence_model_instance(n, 1.5, config.ball, seed=rec.seed,
+                                          magnitude=1.5 * math.sqrt(2.0 * math.log(n) / n))
+            assert np.array_equal(inst.X, np.eye(n))
+            assert np.array_equal(inst.beta_star, ref.beta_star)
+            assert np.count_nonzero(inst.beta_star) == 2
+            assert np.array_equal(inst.y, ref.y)
+            assert inst.sigma == ref.sigma == pytest.approx(1.5 / math.sqrt(n), rel=1e-15)
+
+    def test_objective_ok_and_wall_ms_are_measured(self, monkeypatch):
+        calls = []
+
+        def failing_check(inst, result):
+            calls.append((inst.X.shape, float(inst.sigma)))
+            return BasicInequalityCheck(objective_ok=False, eqn_basic_ok=False,
+                                        lhs=1.0, rhs=0.0)
+
+        monkeypatch.setattr(harness, "check_basic_inequality", failing_check)
+        config = self._config(estimator={"kind": "l1", "radius": 2.0}, ball=BallSpec(1.0, 2.0))
+        records = run_risk_experiment(config).records
+        assert len(calls) == len(records) == 6
+        assert all(rec.objective_ok is False for rec in records)
+        assert all(rec.wall_ms > 0.0 for rec in records)
+        assert calls[0] == ((16, 16), pytest.approx(1.5 / 4.0))
+
+    def test_fixed_dimension_rejected(self):
+        with pytest.raises(ParameterError, match="identity_sequence"):
+            self._config(d_rule=("fixed", 32))
+
+    def test_two_logn_over_n_predictor(self):
+        recs = _synthetic_records(lambda n: 2.0 * math.log(n) / n)
+        fit = fit_rate_slope(recs, predictor="two_logn_over_n", q=1.0)
+        assert fit.theoretical_slope == 0.5
+        assert fit.slope == pytest.approx(1.0)
+        assert fit.cells[0][2] == 2.0 * math.log(100) / 100
+
+
 class TestPersist:
     def test_csv_schema_and_header(self, tmp_path):
         run = run_risk_experiment(_tiny_config())
@@ -263,6 +341,29 @@ class TestCli:
         assert doc["objective_ok"] is True
         saved = json.loads(out.read_text())
         assert saved["n"] == 20 and len(saved["X"]) == 120
+
+        # every --estimator kind emits exactly what a direct solver call gives
+        cases = {
+            "l0": (0.0, 2.0, lambda inst: l0_least_squares(inst.X, inst.y, 2)),
+            "l1": (1.0, 2.0, lambda inst: l1_constrained_ls(inst.X, inst.y, 2.0)),
+            "lq": (0.5, 1.5, lambda inst: lq_constrained_ls(
+                inst.X, inst.y, inst.ball, [inst.beta_star, np.zeros(inst.d)])),
+            "lasso": (0.0, 2.0, lambda inst: lasso(inst.X, inst.y, 0.05)),
+        }
+        for kind, (q, radius, solve) in cases.items():
+            code = cli_main([
+                "simulate", "--n", "20", "--d", "6", "--q", str(q),
+                "--radius", str(radius), "--sigma", "0.1", "--seed", "3",
+                "--estimator", kind, "--lambda", "0.05",
+            ])
+            assert code == 0
+            doc = json.loads(capsys.readouterr().out)
+            ball = BallSpec(q, radius)
+            X = generate_design(DesignSpec("standard_gaussian", 20, 6, seed=3))
+            beta = generate_sparse_beta(ball, 6, magnitude=1.0, seed=3)
+            inst = simulate(X, beta, 0.1, seed=3, ball=ball)
+            expected = json.loads(json.dumps(solve(inst).to_json_dict()))
+            assert doc["estimate"] == expected, kind
 
     def test_check_design_csv(self, tmp_path, capsys):
         path = tmp_path / "X.csv"
