@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from . import ballgeom, bounds, conditions, harness, linmodel
+from .errors import DimensionError
 from .estimators import check_basic_inequality
 
 
@@ -28,27 +29,27 @@ def _emit(doc: dict) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    """One trial's instance, built as the harness builds it from the trial seed --seed."""
+    if args.design == "identity_sequence" and args.d != args.n:
+        raise DimensionError(f"identity_sequence requires n == d, got n={args.n}, d={args.d}")
     ball = linmodel.BallSpec(q=args.q, radius=args.radius)
-    spec = linmodel.DesignSpec(kind=args.design, n=args.n, d=args.d, seed=args.seed)
-    X = linmodel.generate_design(spec)
-    beta = linmodel.generate_sparse_beta(ball, args.d, pattern=args.pattern,
-                                         magnitude=args.magnitude, seed=args.seed)
-    inst = linmodel.simulate(X, beta, args.sigma, seed=args.seed, ball=ball)
+    estimator = {"kind": args.estimator, "radius": args.radius, "lam": args.lam}
+    if args.estimator == "l0":
+        estimator["s"] = args.s or ball.s
+    d_rule = ("proportional", 1.0) if args.design == "identity_sequence" else ("fixed", args.d)
+    config = harness.ExperimentConfig(
+        ball=ball, sigma=args.sigma, n_grid=(args.n,), estimator=estimator, d_rule=d_rule,
+        design_kind=args.design, beta_pattern=args.pattern, beta_magnitude=args.magnitude)
+    inst = harness._make_instance(config, args.n, args.d, args.seed)
     doc = {"n": inst.n, "d": inst.d, "sigma": inst.sigma, "seed": inst.seed,
-           "beta_support": np.flatnonzero(beta).tolist()}
+           "beta_support": np.flatnonzero(inst.beta_star).tolist()}
 
     if args.estimator != "none":
-        estimator = {"kind": args.estimator, "radius": args.radius, "lam": args.lam}
-        if args.estimator == "l0":
-            estimator["s"] = args.s or ball.s
         result = harness._run_estimator(estimator, inst)
         check = check_basic_inequality(inst, result)
         doc["estimate"] = result.to_json_dict()
-        doc["losses"] = {
-            "l2": linmodel.loss(linmodel.LossSpec.l2(), inst.X, result.beta_hat, beta),
-            "pred": linmodel.loss(linmodel.LossSpec.prediction(), inst.X,
-                                  result.beta_hat, beta),
-        }
+        doc["losses"] = {sp.name: linmodel.loss(sp, inst.X, result.beta_hat, inst.beta_star)
+                         for sp in config.losses}
         doc["objective_ok"] = check.objective_ok
 
     if args.out:
@@ -211,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="one instance end-to-end")
-    p.add_argument("--design", default="standard_gaussian",
+    p.add_argument("--design", default=harness.ExperimentConfig.design_kind,
                    choices=["standard_gaussian", "identity_sequence"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
@@ -219,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pattern", default="random_support")
-    p.add_argument("--magnitude", type=float, default=1.0)
+    p.add_argument("--pattern", default=harness.ExperimentConfig.beta_pattern)
+    p.add_argument("--magnitude", type=float, default=harness.ExperimentConfig.beta_magnitude)
     p.add_argument("--estimator", default="none",
                    choices=["none", "l0", "l1", "lq", "lasso"])
     p.add_argument("--s", type=int, default=None)
@@ -242,8 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-rate", help="run an experiment config and fit slopes")
     p.add_argument("--config", required=True, help="JSON config file")
     p.add_argument("--loss", default="l2")
-    p.add_argument("--predictor", default="n",
-                   choices=["n", "s_logd_over_n", "rq_logd_n_pow"])
+    p.add_argument("--predictor", default="n", choices=list(harness.PREDICTORS))
     p.add_argument("--seed", type=int, default=None, help="override seed_root")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out-records", default=None)

@@ -13,7 +13,7 @@ an upper estimate and never presented as a certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -450,21 +450,9 @@ class DesignDiagnostics:
     re_method: str
     kernel_trivial: bool
     diam2_estimate: float
-    f_l_name: str = "zero"
-    f_l_value: float = 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "kappa_c": self.kappa_c,
-            "kappa_l": self.kappa_l,
-            "kappa_u": self.kappa_u,
-            "re_constant": self.re_constant,
-            "re_method": self.re_method,
-            "kernel_trivial": self.kernel_trivial,
-            "diam2_estimate": self.diam2_estimate,
-            "f_l_name": self.f_l_name,
-            "f_l_value": self.f_l_value,
-        }
+        return asdict(self)
 
 
 def diagnose(
@@ -474,8 +462,6 @@ def diagnose(
     ball: Optional[BallSpec] = None,
     n_samples: int = 2000,
     seed: int = 0,
-    f_l_name: str = "zero",
-    f_l_value: float = 0.0,
 ) -> DesignDiagnostics:
     """Measure every design constant at sparsity level s (spectrum at 2s)."""
     X = np.asarray(X, dtype=float)
@@ -498,6 +484,4 @@ def diagnose(
         re_method=re.method,
         kernel_trivial=full_rank,
         diam2_estimate=diam2,
-        f_l_name=f_l_name,
-        f_l_value=f_l_value,
     )

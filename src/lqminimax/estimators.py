@@ -224,7 +224,6 @@ def l1_constrained_ls(
     r1: float,
     max_iter: int = 20_000,
     tol: float = 1e-8,
-    start: Optional[np.ndarray] = None,
     record_trace: bool = False,
 ) -> EstimateResult:
     """Projected gradient for min ||y - X b||_2^2 subject to ||b||_1 <= r1.
@@ -242,7 +241,7 @@ def l1_constrained_ls(
     _require_finite(X=X, y=y)
     # power iteration approaches sigma_max from below; pad so 1/L never overshoots
     lip = (sigma_max_power_iteration(X) * (1.0 + 1e-5)) ** 2
-    beta = np.zeros(X.shape[1]) if start is None else project_l1(np.asarray(start, float), r1)
+    beta = np.zeros(X.shape[1])
     trace = []
     converged = False
     gap = math.inf
@@ -414,14 +413,9 @@ def lasso(
 
     resid = y - X @ beta  # refresh: the sweep updates accumulate roundoff
     grad = X.T @ resid / n
-    kkt = 0.0
-    for j in range(d):
-        if j in skipped:
-            continue
-        if beta[j] == 0.0:
-            kkt = max(kkt, abs(grad[j]) - lam)
-        else:
-            kkt = max(kkt, abs(grad[j] - lam * np.sign(beta[j])))
+    active = col_sq != 0.0
+    g, b = grad[active], beta[active]
+    kkt = np.where(b == 0.0, np.abs(g) - lam, np.abs(g - lam * np.sign(b)))
     obj = float(resid @ resid)
     return EstimateResult(
         beta_hat=beta,
@@ -431,7 +425,7 @@ def lasso(
         converged=converged,
         feasible=True,
         info={
-            "kkt_residual": max(kkt, 0.0),
+            "kkt_residual": float(kkt.max(initial=0.0)),
             "penalized_objective": obj / (2 * n) + lam * float(np.abs(beta).sum()),
             "skipped_columns": skipped.tolist(),
         },

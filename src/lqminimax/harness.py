@@ -17,7 +17,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -61,6 +61,7 @@ __all__ = [
     "load_records",
     "config_hash",
     "plot_fit_svg",
+    "PREDICTORS",
 ]
 
 TRIM_FRACTION = 0.02  # trimmed-mean risk estimate; raw means are kept too
@@ -121,50 +122,45 @@ class ExperimentConfig:
         return lhs >= d**self.kappa_exponent
 
     def to_json_dict(self) -> dict:
-        return {
-            "ball": {"q": self.ball.q, "radius": self.ball.radius},
-            "sigma": self.sigma,
-            "n_grid": list(self.n_grid),
-            "estimator": self.estimator,
-            "d_rule": list(self.d_rule),
-            "design_kind": self.design_kind,
-            "sigma_cov": None if self.sigma_cov is None else [list(r) for r in self.sigma_cov],
-            "trials_per_cell": self.trials_per_cell,
-            "losses": [{"kind": sp.kind, "p": sp.p} for sp in self.losses],
-            "seed_root": self.seed_root,
-            "beta_pattern": self.beta_pattern,
-            "beta_magnitude": self.beta_magnitude,
-            "beta_magnitude_rule": self.beta_magnitude_rule,
-            "kappa_exponent": self.kappa_exponent,
-            "enforce_scaling": self.enforce_scaling,
-        }
+        return _to_json(self)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
-        ball = BallSpec(q=float(doc["ball"]["q"]), radius=float(doc["ball"]["radius"]))
-        losses = tuple(
-            LossSpec(kind=item["kind"], p=float(item.get("p", 2.0)))
-            for item in doc.get("losses", [{"kind": "lp", "p": 2.0},
-                                           {"kind": "l2_prediction"}])
-        )
-        return cls(
-            ball=ball,
-            sigma=float(doc["sigma"]),
-            n_grid=tuple(int(v) for v in doc["n_grid"]),
-            estimator=dict(doc["estimator"]),
-            d_rule=tuple(doc.get("d_rule", ["fixed", 32])),
-            design_kind=doc.get("design_kind", "standard_gaussian"),
-            sigma_cov=(None if doc.get("sigma_cov") is None
-                       else tuple(tuple(r) for r in doc["sigma_cov"])),
-            trials_per_cell=int(doc.get("trials_per_cell", 1)),
-            losses=losses,
-            seed_root=int(doc.get("seed_root", 0)),
-            beta_pattern=doc.get("beta_pattern", "random_support"),
-            beta_magnitude=float(doc.get("beta_magnitude", 1.0)),
-            beta_magnitude_rule=doc.get("beta_magnitude_rule", "constant"),
-            kappa_exponent=float(doc.get("kappa_exponent", 0.5)),
-            enforce_scaling=bool(doc.get("enforce_scaling", False)),
-        )
+        """Inverse of ``to_json_dict``; absent keys take the field defaults."""
+        by_name = {f.name: f for f in fields(cls)}
+        unknown = sorted(set(doc) - set(by_name))
+        if unknown:
+            raise ParameterError(f"unknown config keys {unknown}; the fields are {list(by_name)}")
+        missing = [name for name, f in by_name.items() if f.default is MISSING and name not in doc]
+        if missing:
+            raise ParameterError(f"config is missing required keys {missing}")
+        return cls(**{name: _config_value(name, by_name[name].type, value)
+                      for name, value in doc.items()})
+
+
+_JSON_SCALARS = {"float": float, "int": int, "bool": bool, "dict": dict, "tuple": tuple}
+
+
+def _config_value(name: str, type_name: str, value):
+    """Convert one JSON value to the type of the ``ExperimentConfig`` field."""
+    if name == "ball":
+        return BallSpec(q=float(value["q"]), radius=float(value["radius"]))
+    if name == "losses":
+        return tuple(LossSpec(kind=item["kind"], p=float(item.get("p", 2.0)))
+                     for item in value)
+    if name == "sigma_cov":
+        return None if value is None else tuple(tuple(r) for r in value)
+    convert = _JSON_SCALARS.get(type_name)
+    return value if convert is None else convert(value)
+
+
+def _to_json(value):
+    """Dataclasses become dicts of their fields and tuples become lists, recursively."""
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -237,9 +233,8 @@ def _run_estimator(est: dict, inst: ProblemInstance) -> EstimateResult:
     raise ParameterError(f"unknown estimator kind {kind!r}")
 
 
-def _run_trial(config: ExperimentConfig, n: int, d: int, trial: int) -> TrialRecord:
-    seed = derive_seed(config.seed_root, n, d, trial)
-    start = time.perf_counter()
+def _make_instance(config: ExperimentConfig, n: int, d: int, seed: int) -> ProblemInstance:
+    """The instance of one trial: design, truth and noise from streams of ``seed``."""
     if config.beta_magnitude_rule == "threshold_logd":
         magnitude = config.sigma * math.sqrt(2.0 * math.log(d) / n)
     elif config.beta_magnitude_rule == "constant":
@@ -247,15 +242,20 @@ def _run_trial(config: ExperimentConfig, n: int, d: int, trial: int) -> TrialRec
     else:
         raise ParameterError(f"unknown magnitude rule {config.beta_magnitude_rule!r}")
     if config.design_kind == "identity_sequence":
-        inst = sequence_model_instance(n, config.sigma, config.ball, seed=seed,
+        return sequence_model_instance(n, config.sigma, config.ball, seed=seed,
                                        pattern=config.beta_pattern, magnitude=magnitude)
-    else:
-        cov = None if config.sigma_cov is None else np.array(config.sigma_cov, float)
-        X = generate_design(DesignSpec(kind=config.design_kind, n=n, d=d,
-                                       seed=derive_seed(seed, 1), sigma_cov=cov))
-        beta = generate_sparse_beta(config.ball, d, pattern=config.beta_pattern,
-                                    magnitude=magnitude, seed=derive_seed(seed, 2))
-        inst = simulate(X, beta, config.sigma, seed=seed, ball=config.ball)
+    cov = None if config.sigma_cov is None else np.array(config.sigma_cov, float)
+    X = generate_design(DesignSpec(kind=config.design_kind, n=n, d=d,
+                                   seed=derive_seed(seed, 1), sigma_cov=cov))
+    beta = generate_sparse_beta(config.ball, d, pattern=config.beta_pattern,
+                                magnitude=magnitude, seed=derive_seed(seed, 2))
+    return simulate(X, beta, config.sigma, seed=seed, ball=config.ball)
+
+
+def _run_trial(config: ExperimentConfig, n: int, d: int, trial: int) -> TrialRecord:
+    seed = derive_seed(config.seed_root, n, d, trial)
+    start = time.perf_counter()
+    inst = _make_instance(config, n, d, seed)
     result = _run_estimator(config.estimator, inst)
     check = check_basic_inequality(inst, result)
     if config.estimator["kind"] == "l0" and not check.objective_ok:
@@ -319,17 +319,7 @@ class RateFitResult:
     excluded_zero_cells: int = 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "n_points": self.n_points,
-            "loss_kind": self.loss_kind,
-            "theoretical_slope": self.theoretical_slope,
-            "predictor": self.predictor,
-            "cells": [list(c) for c in self.cells],
-            "excluded_zero_cells": self.excluded_zero_cells,
-        }
+        return _to_json(self)
 
 
 def _trimmed_mean(values: np.ndarray, frac: float = TRIM_FRACTION) -> float:
@@ -340,21 +330,26 @@ def _trimmed_mean(values: np.ndarray, frac: float = TRIM_FRACTION) -> float:
     return float(values.mean())
 
 
-def _predictor_value(predictor: str, n: int, d: int, q: float,
-                     s: Optional[int], radius: Optional[float]) -> float:
-    if predictor == "n":
-        return float(n)
-    if predictor == "s_logd_over_n":
-        if s is None:
-            raise ParameterError("predictor s_logd_over_n needs s")
-        return s * math.log(d / s) / n
-    if predictor == "rq_logd_n_pow":
-        if radius is None:
-            raise ParameterError("predictor rq_logd_n_pow needs the ball radius")
-        return radius * (math.log(d) / n) ** (1.0 - q / 2.0)
-    if predictor == "two_logn_over_n":
-        return 2.0 * math.log(n) / n
-    raise ParameterError(f"unknown predictor {predictor!r}")
+def _s_logd_over_n(n: int, d: int, q: float, s: Optional[int], radius) -> float:
+    if s is None:
+        raise ParameterError("predictor s_logd_over_n needs s")
+    return s * math.log(d / s) / n
+
+
+def _rq_logd_n_pow(n: int, d: int, q: float, s, radius: Optional[float]) -> float:
+    if radius is None:
+        raise ParameterError("predictor rq_logd_n_pow needs the ball radius")
+    return radius * (math.log(d) / n) ** (1.0 - q / 2.0)
+
+
+# name -> (x(n, d, q, s, radius), theoretical slope of log risk against log x, given q)
+PREDICTORS = {
+    "n": (lambda n, d, q, s, radius: float(n), lambda q: -(1.0 - q / 2.0)),
+    "s_logd_over_n": (_s_logd_over_n, lambda q: 1.0),
+    "rq_logd_n_pow": (_rq_logd_n_pow, lambda q: 1.0),
+    "two_logn_over_n": (lambda n, d, q, s, radius: 2.0 * math.log(n) / n,
+                        lambda q: 1.0 - q / 2.0),
+}
 
 
 def fit_rate_slope(
@@ -372,6 +367,9 @@ def fit_rate_slope(
     (q = 0) or -(1 - q/2) against n, 1 - q/2 against the sequence model's
     2 log n / n, and +1 against the composite predictors.
     """
+    if predictor not in PREDICTORS:
+        raise ParameterError(f"unknown predictor {predictor!r}; known: {list(PREDICTORS)}")
+    x_of, theoretical_of = PREDICTORS[predictor]
     by_cell: dict = {}
     for rec in records:
         by_cell.setdefault((rec.n, rec.d), []).append(rec.losses[loss_kind])
@@ -384,7 +382,7 @@ def fit_rate_slope(
         if trimmed <= 0.0:
             excluded += 1
             continue
-        x = _predictor_value(predictor, n, d, q, s, radius)
+        x = x_of(n, d, q, s, radius)
         xs.append(math.log(x))
         ys.append(math.log(trimmed))
         cells.append((n, d, x, trimmed, raw))
@@ -395,15 +393,9 @@ def fit_rate_slope(
     resid = np.array(ys) - fitted
     total = np.array(ys) - np.mean(ys)
     r_squared = 1.0 - float(resid @ resid) / float(total @ total)
-    if predictor == "n":
-        theoretical = -1.0 if q == 0.0 else -(1.0 - q / 2.0)
-    elif predictor == "two_logn_over_n":
-        theoretical = 1.0 - q / 2.0
-    else:
-        theoretical = 1.0
     return RateFitResult(slope=float(slope), intercept=float(intercept),
                          r_squared=r_squared, n_points=len(xs),
-                         loss_kind=loss_kind, theoretical_slope=theoretical,
+                         loss_kind=loss_kind, theoretical_slope=theoretical_of(q),
                          predictor=predictor, cells=tuple(cells),
                          excluded_zero_cells=excluded)
 
@@ -443,16 +435,7 @@ class CounterexampleReport:
         return self.kernel_ok and self.cone_ok and self.l0_recovery_ok and self.l1_failure_ok
 
     def to_json_dict(self) -> dict:
-        return {
-            "kernel_ok": self.kernel_ok,
-            "cone_ok": self.cone_ok,
-            "l0_recovery_ok": self.l0_recovery_ok,
-            "l1_failure_ok": self.l1_failure_ok,
-            "all_ok": self.all_ok,
-            "beta_l0": list(self.beta_l0),
-            "beta_min_l1": list(self.beta_min_l1),
-            "min_l1_norm": self.min_l1_norm,
-        }
+        return {**_to_json(self), "all_ok": self.all_ok}
 
 
 def counterexample_scenario() -> CounterexampleReport:
@@ -527,26 +510,16 @@ def corollary1_experiment(
 # persistence
 # ---------------------------------------------------------------------------
 
-CSV_HEADER = "n,d,trial,seed,loss_l2,loss_pred,objective_ok,wall_ms"
-
-
-def persist(obj, path, format: str = "csv",
-            config_hash_value: Optional[str] = None,
-            seed_root: Optional[int] = None) -> None:
+def persist(obj, path, format: str = "csv") -> None:
     """Write records to CSV or JSON, and diagnostics or fit results to JSON.
 
-    Every file starts with (or embeds) the config hash and root seed; JSON
-    output round-trips losslessly through ``load_records``.
+    Records come as an ``ExperimentRun``.  Every records file starts with (or
+    embeds) the config hash and root seed; JSON output round-trips
+    losslessly through ``load_records``.
     """
     path = str(path)
     if isinstance(obj, ExperimentRun):
-        _persist_records(obj.records, path, format, obj.config_hash, obj.seed_root,
-                         obj.excluded_cells)
-        return
-    if isinstance(obj, (list, tuple)) and (not obj or isinstance(obj[0], TrialRecord)):
-        _persist_records(list(obj), path, format,
-                         config_hash_value or "none",
-                         seed_root if seed_root is not None else -1, [])
+        _persist_records(obj, path, format)
         return
     if hasattr(obj, "to_json_dict"):
         if format != "json":
@@ -558,39 +531,30 @@ def persist(obj, path, format: str = "csv",
     raise ParameterError(f"cannot persist object of type {type(obj).__name__}")
 
 
-def _record_row(rec: TrialRecord) -> list:
-    extras = {k: v for k, v in rec.losses.items() if k not in ("l2", "pred")}
-    row = [rec.n, rec.d, rec.trial, rec.seed,
-           repr(rec.losses.get("l2", float("nan"))),
-           repr(rec.losses.get("pred", float("nan"))),
-           rec.objective_ok, repr(rec.wall_ms)]
-    row.extend(repr(extras[k]) for k in sorted(extras))
-    return row
+def _csv_line(values: dict, loss_names: list) -> str:
+    """One CSV line in ``TrialRecord`` field order; ``losses`` expands to one column per name."""
+    row = []
+    for name, value in values.items():
+        row.extend([value.get(k, math.nan) for k in loss_names] if name == "losses" else [value])
+    return ",".join(str(v) for v in row)
 
 
-def _persist_records(records, path, format, hash_value, seed_root, excluded) -> None:
+def _persist_records(run: ExperimentRun, path: str, format: str) -> None:
     if format == "csv":
-        extra_keys = sorted({k for r in records for k in r.losses
-                             if k not in ("l2", "pred")})
-        header = CSV_HEADER + "".join(f",loss_{k}" for k in extra_keys)
+        loss_names = sorted({k for rec in run.records for k in rec.losses})
+        header = {f.name: f.name for f in fields(TrialRecord)}
+        header["losses"] = {k: f"loss_{k}" for k in loss_names}
         with open(path, "w") as fh:
-            fh.write(f"# config={hash_value} seed_root={seed_root}\n")
-            fh.write(header + "\n")
-            for rec in records:
-                fh.write(",".join(str(v) for v in _record_row(rec)) + "\n")
+            fh.write(f"# config={run.config_hash} seed_root={run.seed_root}\n")
+            fh.write(_csv_line(header, loss_names) + "\n")
+            for rec in run.records:
+                fh.write(_csv_line(asdict(rec), loss_names) + "\n")
     elif format == "json":
         doc = {
-            "config_hash": hash_value,
-            "seed_root": seed_root,
-            "excluded_cells": [list(c) for c in excluded],
-            "records": [
-                {
-                    "n": rec.n, "d": rec.d, "trial": rec.trial, "seed": rec.seed,
-                    "losses": rec.losses, "objective_ok": rec.objective_ok,
-                    "wall_ms": rec.wall_ms,
-                }
-                for rec in records
-            ],
+            "config_hash": run.config_hash,
+            "seed_root": run.seed_root,
+            "excluded_cells": [list(c) for c in run.excluded_cells],
+            "records": [asdict(rec) for rec in run.records],
         }
         with open(path, "w") as fh:
             json.dump(doc, fh, sort_keys=True)
@@ -602,13 +566,7 @@ def load_records(path) -> ExperimentRun:
     """Inverse of ``persist(..., format='json')`` for records."""
     with open(path) as fh:
         doc = json.load(fh)
-    records = [
-        TrialRecord(n=item["n"], d=item["d"], trial=item["trial"], seed=item["seed"],
-                    losses=item["losses"], objective_ok=item["objective_ok"],
-                    wall_ms=item["wall_ms"])
-        for item in doc["records"]
-    ]
-    return ExperimentRun(records=records,
+    return ExperimentRun(records=[TrialRecord(**item) for item in doc["records"]],
                          excluded_cells=[tuple(c) for c in doc.get("excluded_cells", [])],
                          config_hash=doc["config_hash"], seed_root=doc["seed_root"])
 

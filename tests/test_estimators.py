@@ -298,6 +298,26 @@ class TestLasso:
         assert res.info["skipped_columns"] == [1]
         assert res.beta_hat[1] == 0.0
 
+    @pytest.mark.parametrize("seed,lam,max_iter,zero_col", [
+        (21, 0.05, 10_000, None), (3, 0.2, 1, None), (4, 0.01, 2, 2), (5, 0.0, 1, 0)])
+    def test_kkt_residual_matches_loop_reference(self, seed, lam, max_iter, zero_col):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((15, 6))
+        if zero_col is not None:
+            X[:, zero_col] = 0.0
+        y = rng.standard_normal(15)
+        res = lasso(X, y, lam=lam, max_iter=max_iter)
+        grad = X.T @ (y - X @ res.beta_hat) / 15
+        kkt = 0.0
+        for j in range(6):
+            if j == zero_col:
+                continue
+            if res.beta_hat[j] == 0.0:
+                kkt = max(kkt, abs(grad[j]) - lam)
+            else:
+                kkt = max(kkt, abs(grad[j] - lam * np.sign(res.beta_hat[j])))
+        assert res.info["kkt_residual"] == max(kkt, 0.0)
+
 
 class TestBasicInequality:
     def test_truth_estimate(self):

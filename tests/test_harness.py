@@ -6,7 +6,7 @@ import pytest
 
 from lqminimax import harness
 from lqminimax.cli import main as cli_main
-from lqminimax.errors import ParameterError
+from lqminimax.errors import DimensionError, ParameterError
 from lqminimax.harness import (
     COUNTEREXAMPLE_X,
     ExperimentConfig,
@@ -32,6 +32,7 @@ from lqminimax.linmodel import (
     BallSpec,
     DesignSpec,
     LossSpec,
+    derive_seed,
     generate_design,
     generate_sparse_beta,
     sequence_model_instance,
@@ -85,6 +86,18 @@ class TestConfig:
         cfg = _tiny_config()
         back = ExperimentConfig.from_json_dict(cfg.to_json_dict())
         assert config_hash(back) == config_hash(cfg)
+
+    def test_unknown_key_rejected(self):
+        doc = _tiny_config().to_json_dict()
+        doc["trials_per_cel"] = 40
+        with pytest.raises(ParameterError, match="trials_per_cel"):
+            ExperimentConfig.from_json_dict(doc)
+
+    def test_missing_required_key_rejected(self):
+        doc = _tiny_config().to_json_dict()
+        del doc["sigma"]
+        with pytest.raises(ParameterError, match="sigma"):
+            ExperimentConfig.from_json_dict(doc)
 
 
 class TestRunRiskExperiment:
@@ -263,6 +276,17 @@ class TestSequenceModelConfig:
         with pytest.raises(ParameterError, match="identity_sequence"):
             self._config(d_rule=("fixed", 32))
 
+    def test_predictor_table(self):
+        recs = _synthetic_records(lambda n: 1.0 / n)
+        assert fit_rate_slope(recs, predictor="rq_logd_n_pow", q=0.5,
+                              radius=2.0).theoretical_slope == 1.0
+        with pytest.raises(ParameterError, match="needs s"):
+            fit_rate_slope(recs, predictor="s_logd_over_n")
+        with pytest.raises(ParameterError, match="needs the ball radius"):
+            fit_rate_slope(recs, predictor="rq_logd_n_pow", q=1.0)
+        with pytest.raises(ParameterError, match="unknown predictor"):
+            fit_rate_slope(recs, predictor="log_n")
+
     def test_two_logn_over_n_predictor(self):
         recs = _synthetic_records(lambda n: 2.0 * math.log(n) / n)
         fit = fit_rate_slope(recs, predictor="two_logn_over_n", q=1.0)
@@ -280,6 +304,15 @@ class TestPersist:
         assert lines[0] == f"# config={run.config_hash} seed_root=5"
         assert lines[1] == "n,d,trial,seed,loss_l2,loss_pred,objective_ok,wall_ms"
         assert len(lines) == 2 + len(run.records)
+
+    def test_csv_loss_columns_follow_the_losses(self, tmp_path):
+        run = run_risk_experiment(_tiny_config(losses=(LossSpec.l2(), LossSpec("lp", 1.0))))
+        persist(run, tmp_path / "records.csv", format="csv")
+        lines = (tmp_path / "records.csv").read_text().splitlines()
+        assert lines[1] == "n,d,trial,seed,loss_l1,loss_l2,objective_ok,wall_ms"
+        rec = run.records[0]
+        assert lines[2] == (f"{rec.n},{rec.d},{rec.trial},{rec.seed},{rec.losses['l1']!r},"
+                            f"{rec.losses['l2']!r},{rec.objective_ok},{rec.wall_ms!r}")
 
     def test_json_round_trip_byte_identical(self, tmp_path):
         run = run_risk_experiment(_tiny_config())
@@ -307,6 +340,8 @@ class TestPersist:
         persist(diag, tmp_path / "diag.json", format="json")
         doc = json.loads((tmp_path / "diag.json").read_text())
         assert doc["kernel_trivial"] is True
+        assert set(doc) == {"kappa_c", "kappa_l", "kappa_u", "re_constant", "re_method",
+                            "kernel_trivial", "diam2_estimate"}
 
     def test_svg_plot(self, tmp_path):
         fit = fit_rate_slope(_synthetic_records(lambda n: 1.0 / n))
@@ -358,10 +393,12 @@ class TestCli:
             ])
             assert code == 0
             doc = json.loads(capsys.readouterr().out)
+            # --seed is a trial seed: design, truth and noise streams as in the harness
             ball = BallSpec(q, radius)
-            X = generate_design(DesignSpec("standard_gaussian", 20, 6, seed=3))
-            beta = generate_sparse_beta(ball, 6, magnitude=1.0, seed=3)
+            X = generate_design(DesignSpec("standard_gaussian", 20, 6, seed=derive_seed(3, 1)))
+            beta = generate_sparse_beta(ball, 6, magnitude=1.0, seed=derive_seed(3, 2))
             inst = simulate(X, beta, 0.1, seed=3, ball=ball)
+            assert doc["beta_support"] == np.flatnonzero(beta).tolist(), kind
             expected = json.loads(json.dumps(solve(inst).to_json_dict()))
             assert doc["estimate"] == expected, kind
 
@@ -402,3 +439,37 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["n_points"] == 3
         assert records.exists() and plot.exists()
+
+    def test_simulate_identity_sequence_sigma_is_tau(self, tmp_path, capsys):
+        out = tmp_path / "inst.json"
+        code = cli_main(["simulate", "--design", "identity_sequence", "--n", "400",
+                         "--d", "400", "--sigma", "1", "--out", str(out)])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["sigma"] == 1.0 / math.sqrt(400)
+        saved = json.loads(out.read_text())
+        ref = sequence_model_instance(400, 1.0, BallSpec(0.0, 1), seed=0)
+        assert np.array_equal(saved["y"], ref.y)
+        assert np.std(ref.noise()) == pytest.approx(0.05, rel=0.1)
+        with pytest.raises(DimensionError, match="n == d"):
+            cli_main(["simulate", "--design", "identity_sequence", "--n", "40", "--d", "30"])
+
+    def test_fit_rate_two_logn_over_n_matches_corollary1(self, tmp_path, capsys, monkeypatch):
+        configs = []
+        real = harness.run_risk_experiment
+
+        def spy(config, n_workers=1):
+            configs.append(config)
+            return real(config, n_workers)
+
+        monkeypatch.setattr(harness, "run_risk_experiment", spy)
+        fit = corollary1_experiment((64, 128, 256), 1.0, BallSpec(0.0, 2),
+                                    trials_per_cell=10, seed_root=3)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(configs[0].to_json_dict()))
+        code = cli_main(["fit-rate", "--config", str(cfg_path),
+                         "--predictor", "two_logn_over_n"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["slope"] == fit.slope
+        assert doc["theoretical_slope"] == fit.theoretical_slope == 1.0
