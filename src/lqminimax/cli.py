@@ -33,7 +33,11 @@ def _cmd_simulate(args) -> int:
     if args.design == "identity_sequence" and args.d != args.n:
         raise DimensionError(f"identity_sequence requires n == d, got n={args.n}, d={args.d}")
     ball = linmodel.BallSpec(q=args.q, radius=args.radius)
-    estimator = {"kind": args.estimator, "radius": args.radius, "lam": args.lam}
+    # the config only builds the instance here, but it must name a known
+    # estimator kind, so "none" stands in as l1, which is never run
+    solve = args.estimator != "none"
+    estimator = {"kind": args.estimator if solve else "l1", "radius": args.radius,
+                 "lam": args.lam}
     if args.estimator == "l0":
         estimator["s"] = args.s or ball.s
     d_rule = ("proportional", 1.0) if args.design == "identity_sequence" else ("fixed", args.d)
@@ -44,7 +48,7 @@ def _cmd_simulate(args) -> int:
     doc = {"n": inst.n, "d": inst.d, "sigma": inst.sigma, "seed": inst.seed,
            "beta_support": np.flatnonzero(inst.beta_star).tolist()}
 
-    if args.estimator != "none":
+    if solve:
         result = harness._run_estimator(estimator, inst)
         check = check_basic_inequality(inst, result)
         doc["estimate"] = result.to_json_dict()
@@ -223,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", default=harness.ExperimentConfig.beta_pattern)
     p.add_argument("--magnitude", type=float, default=harness.ExperimentConfig.beta_magnitude)
     p.add_argument("--estimator", default="none",
-                   choices=["none", "l0", "l1", "lq", "lasso"])
+                   choices=["none", *harness._ESTIMATORS])
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=0.1)
     p.add_argument("--out", default=None, help="write instance JSON here")

@@ -105,6 +105,14 @@ class ExperimentConfig:
             raise ParameterError("need at least one trial per cell")
         if self.d_rule[0] not in ("fixed", "proportional"):
             raise ParameterError(f"unknown d_rule {self.d_rule!r}")
+        unknown = [f"{name} {value!r} (known: {', '.join(known)})"
+                   for name, value, known in (
+                       ("design_kind", self.design_kind, _CONFIG_DESIGN_KINDS),
+                       ("beta_magnitude_rule", self.beta_magnitude_rule, _MAGNITUDE_RULES),
+                       ("estimator kind", self.estimator.get("kind"), _ESTIMATORS))
+                   if value not in known]
+        if unknown:
+            raise ParameterError("unknown " + "; ".join(unknown))
         if (self.design_kind == "identity_sequence"
                 and tuple(self.d_rule) != ("proportional", 1.0)):
             raise ParameterError(
@@ -205,42 +213,40 @@ class ExperimentRun:
 # ---------------------------------------------------------------------------
 
 
-def _run_estimator(est: dict, inst: ProblemInstance) -> EstimateResult:
-    """Run the estimator described by ``est`` on ``inst``; lq reads ``inst.ball``.
+# estimator kind -> solver of the instance given the estimator dict; lq starts from
+# the truth and from zero (an oracle warm start, so its objective is never worse
+# than at the truth) and reads the ball from the instance
+_ESTIMATORS = {
+    "l0": lambda est, inst: l0_least_squares(inst.X, inst.y, int(est["s"])),
+    "l1": lambda est, inst: l1_constrained_ls(
+        inst.X, inst.y, float(est["radius"]),
+        max_iter=int(est.get("max_iter", 20_000)), tol=float(est.get("tol", 1e-8))),
+    "lq": lambda est, inst: lq_constrained_ls(
+        inst.X, inst.y, inst.ball, [inst.beta_star, np.zeros(inst.d)],
+        max_iter=int(est.get("max_iter", 2_000)), tol=float(est.get("tol", 1e-9))),
+    "lasso": lambda est, inst: lasso(
+        inst.X, inst.y, float(est["lam"]),
+        max_iter=int(est.get("max_iter", 10_000)), tol=float(est.get("tol", 1e-10))),
+}
 
-    lq starts from the truth and from zero (an oracle warm start, so its
-    objective is never worse than at the truth).
-    """
-    kind = est["kind"]
-    if kind == "l0":
-        return l0_least_squares(inst.X, inst.y, int(est["s"]))
-    if kind == "l1":
-        return l1_constrained_ls(
-            inst.X, inst.y, float(est["radius"]),
-            max_iter=int(est.get("max_iter", 20_000)),
-            tol=float(est.get("tol", 1e-8)),
-        )
-    if kind == "lq":
-        return lq_constrained_ls(
-            inst.X, inst.y, inst.ball, [inst.beta_star, np.zeros(inst.d)],
-            max_iter=int(est.get("max_iter", 2_000)),
-            tol=float(est.get("tol", 1e-9)),
-        )
-    if kind == "lasso":
-        return lasso(inst.X, inst.y, float(est["lam"]),
-                     max_iter=int(est.get("max_iter", 10_000)),
-                     tol=float(est.get("tol", 1e-10)))
-    raise ParameterError(f"unknown estimator kind {kind!r}")
+# beta_magnitude_rule -> magnitude of the truth's entries in cell (n, d)
+_MAGNITUDE_RULES = {
+    "constant": lambda config, n, d: config.beta_magnitude,
+    "threshold_logd": lambda config, n, d: config.sigma * math.sqrt(2.0 * math.log(d) / n),
+}
+
+# an explicit design needs a matrix, which a config does not carry
+_CONFIG_DESIGN_KINDS = tuple(k for k in DesignSpec._KINDS if k != "explicit")
+
+
+def _run_estimator(est: dict, inst: ProblemInstance) -> EstimateResult:
+    """Run the estimator described by ``est`` on ``inst``."""
+    return _ESTIMATORS[est["kind"]](est, inst)
 
 
 def _make_instance(config: ExperimentConfig, n: int, d: int, seed: int) -> ProblemInstance:
     """The instance of one trial: design, truth and noise from streams of ``seed``."""
-    if config.beta_magnitude_rule == "threshold_logd":
-        magnitude = config.sigma * math.sqrt(2.0 * math.log(d) / n)
-    elif config.beta_magnitude_rule == "constant":
-        magnitude = config.beta_magnitude
-    else:
-        raise ParameterError(f"unknown magnitude rule {config.beta_magnitude_rule!r}")
+    magnitude = _MAGNITUDE_RULES[config.beta_magnitude_rule](config, n, d)
     if config.design_kind == "identity_sequence":
         return sequence_model_instance(n, config.sigma, config.ball, seed=seed,
                                        pattern=config.beta_pattern, magnitude=magnitude)

@@ -3,16 +3,18 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lqminimax import supports
 from lqminimax.errors import EnumerationBudgetError, ParameterError
 from lqminimax.estimators import (
+    _lipschitz,
     check_basic_inequality,
     l0_least_squares,
     l1_constrained_ls,
     lasso,
     lq_constrained_ls,
-    sigma_max_power_iteration,
 )
 from lqminimax.linmodel import BallSpec, simulate
 
@@ -194,6 +196,20 @@ class TestL1Constrained:
         trace = np.array(res.info["objective_trace"])
         assert np.all(np.diff(trace) <= 1e-10)
 
+    @pytest.mark.parametrize("design", ["n_2d", "n_below_d", "scaled_identity"])
+    def test_objective_trace_never_rises(self, design):
+        # descent holds for any step below 2 / lambda_max, and 1/L is one
+        rng = np.random.default_rng(11)
+        X = {"n_2d": lambda: rng.standard_normal((60, 30)),
+             "n_below_d": lambda: rng.standard_normal((20, 50)),
+             "scaled_identity": lambda: 3.0 * np.eye(12)}[design]()
+        y = rng.standard_normal(X.shape[0])
+        res = l1_constrained_ls(X, y, r1=0.7, max_iter=500, tol=0.0,
+                                record_trace=True)
+        trace = np.array(res.info["objective_trace"])
+        assert len(trace) > 2
+        assert np.all(np.diff(trace) <= 1e-12 * trace[0])
+
     def test_duality_gap_certifies_optimum(self):
         # compare against a fine golden-section over the 2-d boundary
         X = np.array([[1.0, 0.3], [0.2, 1.5], [0.7, -0.4]])
@@ -355,9 +371,53 @@ class TestBasicInequality:
         assert ok == 50
 
 
-class TestPowerIteration:
-    def test_matches_svd(self):
-        rng = np.random.default_rng(0)
-        X = rng.standard_normal((15, 7))
-        exact = np.linalg.svd(X, compute_uv=False)[0]
-        assert sigma_max_power_iteration(X) == pytest.approx(exact, rel=1e-4)
+def _check_lipschitz(X):
+    """_lipschitz(X) lies in [sigma_max^2, (1 + 1e-6) sigma_max^2] by the SVD."""
+    lip, steps = _lipschitz(X)
+    top = np.linalg.svd(X, compute_uv=False)[0] ** 2
+    assert top <= lip <= (1.0 + 1e-6) * top
+    assert 1 <= steps <= min(X.shape)
+    return lip, steps
+
+
+class TestLipschitz:
+    @pytest.mark.parametrize("n, d", [(40, 20), (200, 100), (400, 200),
+                                      (20, 40), (50, 300), (100, 101)])
+    def test_gaussian_sweep(self, n, d):
+        rng = np.random.default_rng(n * 1000 + d)
+        for _ in range(3):
+            _check_lipschitz(rng.standard_normal((n, d)))
+
+    def test_power_iteration_shortfall_design(self):
+        # padded power iteration gave 4659.127 here, below sigma_max^2 = 4659.256
+        X = np.random.default_rng(0).standard_normal((1600, 800))
+        lip, steps = _check_lipschitz(X)
+        assert lip > 4659.25
+        assert steps < 100
+
+    def test_scaled_identity_one_step(self):
+        lip, steps = _check_lipschitz(3.0 * np.eye(7))
+        assert steps == 1
+        assert 9.0 <= lip <= 9.0 * (1.0 + 1e-6)
+
+    def test_zero_matrix(self):
+        assert _lipschitz(np.zeros((5, 3))) == (0.0, 1)
+
+    @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (1, 1)])
+    def test_single_row_or_column(self, shape):
+        X = np.random.default_rng(2).standard_normal(shape)
+        lip, steps = _check_lipschitz(X)
+        assert steps == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.integers(1, 12).flatmap(
+        lambda d: arrays(np.float64, (n, d), elements=st.one_of(
+            st.just(0.0), st.floats(-1e3, -1e-3), st.floats(1e-3, 1e3))))))
+    def test_bound_property(self, X):
+        _check_lipschitz(X)
+
+    @pytest.mark.parametrize("solver", ["l1", "lq"])
+    def test_solvers_report_it(self, solver):
+        X = np.random.default_rng(5).standard_normal((30, 12))
+        res = _SOLVERS[solver](X, np.ones(30))
+        assert (res.info["lipschitz"], res.info["lipschitz_steps"]) == _lipschitz(X)

@@ -93,6 +93,41 @@ class TestConfig:
         with pytest.raises(ParameterError, match="trials_per_cel"):
             ExperimentConfig.from_json_dict(doc)
 
+    def test_misspelt_names_all_named(self):
+        with pytest.raises(ParameterError) as err:
+            _tiny_config(design_kind="gausian", beta_magnitude_rule="thresh",
+                         estimator={"kind": "l00", "s": 1})
+        for bad in ("design_kind 'gausian'", "beta_magnitude_rule 'thresh'",
+                    "estimator kind 'l00'"):
+            assert bad in str(err.value)
+
+    @pytest.mark.parametrize("overrides, bad", [
+        ({"design_kind": "explicit"}, "design_kind 'explicit'"),
+        ({"beta_magnitude_rule": "Constant"}, "beta_magnitude_rule 'Constant'"),
+        ({"estimator": {"s": 1}}, "estimator kind None"),
+    ])
+    def test_each_unknown_name_rejected(self, overrides, bad):
+        with pytest.raises(ParameterError, match=bad):
+            _tiny_config(**overrides)
+        doc = _tiny_config().to_json_dict()
+        doc.update(overrides)
+        with pytest.raises(ParameterError, match=bad):
+            ExperimentConfig.from_json_dict(doc)
+
+    @pytest.mark.parametrize("overrides, expected", [
+        ({}, "247e3104183cce0f"),
+        ({"design_kind": "correlated_gaussian", "sigma_cov": ((1.0, 0.5), (0.5, 1.0))},
+         "89a581e460b8d624"),
+        ({"design_kind": "identity_sequence", "d_rule": ("proportional", 1.0),
+          "beta_magnitude_rule": "threshold_logd"}, "e26f667ebb06901a"),
+        ({"ball": BallSpec(1.0, 2.0), "estimator": {"kind": "l1", "radius": 2.0}},
+         "cef542eebabea7f9"),
+        ({"ball": BallSpec(0.5, 2.0), "estimator": {"kind": "lq"}}, "467675f2fc774a56"),
+        ({"estimator": {"kind": "lasso", "lam": 0.1}}, "f9d74994885ea97f"),
+    ])
+    def test_known_names_keep_their_hash(self, overrides, expected):
+        assert config_hash(_tiny_config(**overrides)) == expected
+
     def test_missing_required_key_rejected(self):
         doc = _tiny_config().to_json_dict()
         del doc["sigma"]
