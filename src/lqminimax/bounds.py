@@ -1,16 +1,17 @@
 """Closed-form rate and tail bounds, plus exact small-scale suprema oracles.
 
-Each theorem's risk formula is evaluated in log-space.  Constants that the
-theory leaves unspecified must be supplied explicitly through the constants
-map (pass 1.0 to reproduce the bare shape); the explicit constants 24, 6,
-144 and 81 are built in.
+Each theorem's risk formula is one table row: a generic-constant flag, the
+formula string and its value, evaluated in log-space.  Constants the theory
+leaves unspecified must be passed in the constants map (1.0 reproduces the
+bare shape); the explicit constants 24, 6, 144 and 81 are built in.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.special import gammaln
@@ -32,27 +33,6 @@ __all__ = [
     "log_binomial",
     "THEOREMS",
 ]
-
-THEOREMS = (
-    "T1a", "T1b", "T2a", "T2b_plain", "T2b_sharp",
-    "T3a", "T3b", "T4a", "T4b", "Cor1",
-)
-
-_FORMULAS = {
-    "T1a": "c * max(diam_term, Rq * (sigma^2/kappa_c^2 * log(d)/n)^((p-q)/2))",
-    "T1b": "c * max(diam_term, s^(p/2) * (sigma^2/kappa_u^2 * log(d/s)/n)^(p/2))",
-    "T2a": "24 * Rq * (kappa_c^2/kappa_l^2 * sigma^2/kappa_l^2 * log(d)/n)^(1-q/2)",
-    "T2b_plain": "6 * kappa_c^2/kappa_l^2 * sigma^2/kappa_l^2 * s*log(d)/n",
-    "T2b_sharp": "144 * kappa_u^2/kappa_l^2 * sigma^2/kappa_l^2 * s*log(d/s)/n",
-    "T3a": "c * Rq * kappa_l^2 * (sigma^2/kappa_c^2 * log(d)/n)^(1-q/2)",
-    "T3b": "c * kappa_l^2 * sigma^2/kappa_u^2 * s*log(d/s)/n",
-    "T4a": "c * kappa_c^2 * Rq * (sigma^2/kappa_c^2 * log(d)/n)^(1-q/2)",
-    "T4b": "81 * sigma^2 * s*log(d/s)/n",
-    "Cor1": "c * (2*tau^2*log(n)/n)^(1-q/2)",
-}
-
-# theorems whose leading constant the theory never pins down
-_NEEDS_CONSTANT = {"T1a", "T1b", "T3a", "T3b", "T4a", "Cor1"}
 
 
 @dataclass(frozen=True)
@@ -85,123 +65,102 @@ class RateQuery:
             raise ParameterError("sigma and radius must be positive")
 
 
+def _log_log(term: str, value: float) -> float:
+    """log(log(value)) for the log term ``term`` of a rate; value must exceed 1."""
+    if not value > 1.0:
+        raise ParameterError(f"log {term} must be positive, got {term} = {value}")
+    return math.log(math.log(value))
+
+
+def _log_scale(x: RateQuery, kappa: float, term: str, value: float) -> float:
+    """log of sigma^2/kappa^2 * log(term)/n."""
+    return (2.0 * math.log(x.sigma) - 2.0 * math.log(kappa)
+            + _log_log(term, value) - math.log(x.n))
+
+
+class _Rate(NamedTuple):
+    generic: bool  # the leading constant is the caller's constants["c"]
+    formula: str  # its names are RateQuery fields, or Rq and s for radius, tau for sigma
+    value: Callable  # (query, c) -> the rate, computed in log-space
+
+
+_RATES = {
+    "T1a": _Rate(True, "c * max(diam_term, Rq * (sigma^2/kappa_c^2 * log(d)/n)^((p-q)/2))",
+                 lambda x, c: c * max(x.diam_term, math.exp(
+                     math.log(x.radius)
+                     + (x.p - x.q) / 2.0 * _log_scale(x, x.kappa_c, "d", x.d)))),
+    "T1b": _Rate(True, "c * max(diam_term, s^(p/2) * (sigma^2/kappa_u^2 * log(d/s)/n)^(p/2))",
+                 lambda x, c: c * max(x.diam_term, math.exp(
+                     x.p / 2.0 * math.log(x.radius)
+                     + x.p / 2.0 * _log_scale(x, x.kappa_u, "d/s", x.d / x.radius)))),
+    "T2a": _Rate(False, "24 * Rq * (kappa_c^2/kappa_l^2 * sigma^2/kappa_l^2 * log(d)/n)^(1-q/2)",
+                 lambda x, c: 24.0 * x.radius * math.exp((1.0 - x.q / 2.0) * (
+                     2.0 * math.log(x.kappa_c) - 4.0 * math.log(x.kappa_l)
+                     + 2.0 * math.log(x.sigma) + _log_log("d", x.d) - math.log(x.n)))),
+    "T2b_plain": _Rate(False, "6 * kappa_c^2/kappa_l^2 * sigma^2/kappa_l^2 * s*log(d)/n",
+                       lambda x, c: 6.0 * math.exp(
+                           2.0 * math.log(x.kappa_c) - 4.0 * math.log(x.kappa_l)
+                           + 2.0 * math.log(x.sigma) + math.log(x.radius)
+                           + _log_log("d", x.d) - math.log(x.n))),
+    "T2b_sharp": _Rate(False, "144 * kappa_u^2/kappa_l^2 * sigma^2/kappa_l^2 * s*log(d/s)/n",
+                       lambda x, c: 144.0 * math.exp(
+                           2.0 * math.log(x.kappa_u) - 4.0 * math.log(x.kappa_l)
+                           + 2.0 * math.log(x.sigma) + math.log(x.radius)
+                           + _log_log("d/s", x.d / x.radius) - math.log(x.n))),
+    "T3a": _Rate(True, "c * Rq * kappa_l^2 * (sigma^2/kappa_c^2 * log(d)/n)^(1-q/2)",
+                 lambda x, c: c * math.exp(
+                     math.log(x.radius) + 2.0 * math.log(x.kappa_l)
+                     + (1.0 - x.q / 2.0) * _log_scale(x, x.kappa_c, "d", x.d))),
+    "T3b": _Rate(True, "c * kappa_l^2 * sigma^2/kappa_u^2 * s*log(d/s)/n",
+                 lambda x, c: c * math.exp(
+                     2.0 * math.log(x.kappa_l) + 2.0 * math.log(x.sigma)
+                     - 2.0 * math.log(x.kappa_u) + math.log(x.radius)
+                     + _log_log("d/s", x.d / x.radius) - math.log(x.n))),
+    "T4a": _Rate(True, "c * kappa_c^2 * Rq * (sigma^2/kappa_c^2 * log(d)/n)^(1-q/2)",
+                 lambda x, c: c * math.exp(
+                     2.0 * math.log(x.kappa_c) + math.log(x.radius)
+                     + (1.0 - x.q / 2.0) * _log_scale(x, x.kappa_c, "d", x.d))),
+    "T4b": _Rate(False, "81 * sigma^2 * s*log(d/s)/n",
+                 lambda x, c: 81.0 * math.exp(
+                     2.0 * math.log(x.sigma) + math.log(x.radius)
+                     + _log_log("d/s", x.d / x.radius) - math.log(x.n))),
+    "Cor1": _Rate(True, "c * (2*tau^2*log(n)/n)^(1-q/2)",
+                  lambda x, c: c * math.exp((1.0 - x.q / 2.0) * (
+                      math.log(2.0) + 2.0 * math.log(x.sigma)
+                      + _log_log("n", x.n) - math.log(x.n)))),
+}
+
+THEOREMS = tuple(_RATES)
+
+# the optional RateQuery fields, in the order their absence is reported
+_OPTIONAL = ("d", "kappa_c", "kappa_u", "kappa_l")
+
+
 def rate_formula(theorem: str) -> str:
-    return _FORMULAS[theorem]
-
-
-def _need(query: RateQuery, *names: str) -> list[float]:
-    vals = []
-    for name in names:
-        v = getattr(query, name)
-        if v is None:
-            raise ParameterError(f"{query.theorem} needs parameter {name!r}")
-        if name.startswith("kappa") and v <= 0:
-            raise ParameterError(f"{name} must be positive, got {v}")
-        vals.append(float(v))
-    return vals
-
-
-def _generic_constant(query: RateQuery) -> float:
-    if "c" not in query.constants:
-        raise ParameterError(
-            f"{query.theorem} has an unspecified generic constant; "
-            "pass constants={'c': ...} (1.0 reproduces the bare shape)"
-        )
-    return float(query.constants["c"])
-
-
-def _pow_log(base_log: float, expo: float) -> float:
-    return math.exp(expo * base_log)
+    return _RATES[theorem].formula
 
 
 def minimax_rate(query: RateQuery) -> float:
     """Evaluate the selected theorem's risk expression.
 
     Products and powers run in log-space so large-n queries never underflow
-    to zero prematurely.
+    to zero prematurely.  The optional parameters a theorem needs are the
+    ones its formula names.
     """
-    t = query.theorem
-    q, p = query.q, query.p
-
-    if t == "Cor1":
-        c = _generic_constant(query)
-        tau = query.sigma
-        base = math.log(2.0) + 2.0 * math.log(tau) + math.log(math.log(query.n)) - math.log(query.n)
-        return c * _pow_log(base, 1.0 - q / 2.0)
-
-    if t == "T1a":
-        c = _generic_constant(query)
-        (d, kc) = _need(query, "d", "kappa_c")
-        base = (2.0 * math.log(query.sigma) - 2.0 * math.log(kc)
-                + math.log(math.log(d)) - math.log(query.n))
-        entropy_term = math.exp(math.log(query.radius) + (p - q) / 2.0 * base)
-        return c * max(query.diam_term, entropy_term)
-
-    if t == "T1b":
-        c = _generic_constant(query)
-        (d, ku) = _need(query, "d", "kappa_u")
-        s = query.radius
-        base = (2.0 * math.log(query.sigma) - 2.0 * math.log(ku)
-                + math.log(math.log(d / s)) - math.log(query.n))
-        entropy_term = math.exp(p / 2.0 * math.log(s) + p / 2.0 * base)
-        return c * max(query.diam_term, entropy_term)
-
-    if t == "T2a":
-        (d, kc, kl) = _need(query, "d", "kappa_c", "kappa_l")
-        base = (2.0 * math.log(kc) - 4.0 * math.log(kl) + 2.0 * math.log(query.sigma)
-                + math.log(math.log(d)) - math.log(query.n))
-        return 24.0 * query.radius * _pow_log(base, 1.0 - q / 2.0)
-
-    if t == "T2b_plain":
-        (d, kc, kl) = _need(query, "d", "kappa_c", "kappa_l")
-        s = query.radius
-        return 6.0 * math.exp(
-            2.0 * math.log(kc) - 4.0 * math.log(kl) + 2.0 * math.log(query.sigma)
-            + math.log(s) + math.log(math.log(d)) - math.log(query.n)
+    rate = _RATES[query.theorem]
+    if rate.generic and "c" not in query.constants:
+        raise ParameterError(
+            f"{query.theorem} has an unspecified generic constant; "
+            "pass constants={'c': ...} (1.0 reproduces the bare shape)"
         )
-
-    if t == "T2b_sharp":
-        (d, ku, kl) = _need(query, "d", "kappa_u", "kappa_l")
-        s = query.radius
-        return 144.0 * math.exp(
-            2.0 * math.log(ku) - 4.0 * math.log(kl) + 2.0 * math.log(query.sigma)
-            + math.log(s) + math.log(math.log(d / s)) - math.log(query.n)
-        )
-
-    if t == "T3a":
-        c = _generic_constant(query)
-        (d, kc, kl) = _need(query, "d", "kappa_c", "kappa_l")
-        base = (2.0 * math.log(query.sigma) - 2.0 * math.log(kc)
-                + math.log(math.log(d)) - math.log(query.n))
-        return c * math.exp(math.log(query.radius) + 2.0 * math.log(kl)
-                            + (1.0 - q / 2.0) * base)
-
-    if t == "T3b":
-        c = _generic_constant(query)
-        (d, ku, kl) = _need(query, "d", "kappa_u", "kappa_l")
-        s = query.radius
-        return c * math.exp(
-            2.0 * math.log(kl) + 2.0 * math.log(query.sigma) - 2.0 * math.log(ku)
-            + math.log(s) + math.log(math.log(d / s)) - math.log(query.n)
-        )
-
-    if t == "T4a":
-        c = _generic_constant(query)
-        (d, kc) = _need(query, "d", "kappa_c")
-        base = (2.0 * math.log(query.sigma) - 2.0 * math.log(kc)
-                + math.log(math.log(d)) - math.log(query.n))
-        return c * math.exp(2.0 * math.log(kc) + math.log(query.radius)
-                            + (1.0 - q / 2.0) * base)
-
-    if t == "T4b":
-        (d,) = _need(query, "d")
-        s = query.radius
-        return 81.0 * math.exp(
-            2.0 * math.log(query.sigma) + math.log(s)
-            + math.log(math.log(d / s)) - math.log(query.n)
-        )
-
-    raise ParameterError(f"unknown theorem {t!r}")
+    names = set(re.findall(r"\w+", rate.formula))
+    for name in (n for n in _OPTIONAL if n in names):
+        v = getattr(query, name)
+        if v is None:
+            raise ParameterError(f"{query.theorem} needs parameter {name!r}")
+        if name.startswith("kappa") and v <= 0:
+            raise ParameterError(f"{name} must be positive, got {v}")
+    return rate.value(query, float(query.constants["c"]) if rate.generic else 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import ballgeom, bounds, conditions, harness, linmodel
-from .errors import DimensionError
+from .errors import DimensionError, ParameterError
 from .estimators import check_basic_inequality
 
 
@@ -163,34 +164,43 @@ def _parse_params(items) -> dict:
             if not piece:
                 continue
             key, _, value = piece.partition("=")
-            out[key.strip()] = float(value)
+            try:
+                out[key.strip()] = float(value)
+            except ValueError:
+                raise ParameterError(f"--params {piece!r} is not key=number") from None
     return out
+
+
+# --params key -> RateQuery field: every numeric field under its own name, plus
+# the names the formulas use (Rq and s for radius, tau for sigma); c is constants["c"]
+_RATE_PARAMS = {
+    **{f.name: f.name for f in fields(bounds.RateQuery) if f.name not in ("theorem", "constants")},
+    "Rq": "radius", "s": "radius", "tau": "sigma",
+}
 
 
 def _cmd_rates(args) -> int:
     params = _parse_params(args.params or [])
-    constants = {k[2:]: v for k, v in params.items() if k.startswith("c_")}
-    if "c" in params:
-        constants["c"] = params["c"]
-    query = bounds.RateQuery(
-        theorem=args.theorem,
-        n=int(params["n"]),
-        d=int(params["d"]) if "d" in params else None,
-        q=params.get("q", 0.0),
-        radius=params.get("radius", params.get("Rq", params.get("s", 1.0))),
-        sigma=params.get("sigma", params.get("tau", 1.0)),
-        kappa_c=params.get("kappa_c"),
-        kappa_l=params.get("kappa_l"),
-        kappa_u=params.get("kappa_u"),
-        p=params.get("p", 2.0),
-        diam_term=params.get("diam_term", 0.0),
-        constants=constants,
-    )
+    constants = {"c": params.pop("c")} if "c" in params else {}
+    unknown = sorted(set(params) - set(_RATE_PARAMS))
+    if unknown:
+        raise ParameterError(
+            f"unknown --params keys {unknown}; the keys are {[*_RATE_PARAMS, 'c']}")
+    values = {}
+    for key, value in params.items():
+        name = _RATE_PARAMS[key]
+        if name in values:
+            raise ParameterError(f"--params sets {name} twice")
+        values[name] = int(value) if name in ("n", "d") else value
+    if "n" not in values:
+        raise ParameterError("--params needs n")
+    query = bounds.RateQuery(theorem=args.theorem, constants=constants, **values)
     _emit({
         "theorem": args.theorem,
         "value": bounds.minimax_rate(query),
         "formula": bounds.rate_formula(args.theorem),
-        "constants_used": constants,
+        # the constants the value depends on: c for theorems with a generic constant
+        "constants_used": constants if bounds._RATES[args.theorem].generic else {},
     })
     return 0
 
@@ -265,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rates", help="evaluate a rate formula")
     p.add_argument("--theorem", required=True, choices=list(bounds.THEOREMS))
     p.add_argument("--params", action="append", default=[],
-                   help="comma-separated k=v pairs, e.g. n=100,d=32,sigma=1")
+                   help="comma-separated k=v pairs, e.g. n=100,d=32,sigma=1; the keys are "
+                        "RateQuery's numeric fields, Rq or s for radius, tau for sigma, and c")
     p.set_defaults(func=_cmd_rates)
 
     p = sub.add_parser("counterexample", help="run the l1-vs-l0 scenario")

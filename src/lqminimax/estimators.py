@@ -5,7 +5,8 @@ with a Frank-Wolfe duality-gap certificate, q in (0, 1) by multi-start
 projected gradient with a feasibility heuristic (no global guarantee; use an
 oracle warm start in simulations), and the Lasso by cyclic coordinate
 descent.  Both projected-gradient solvers step 1/L, where L is a Lanczos
-upper bound on sigma_max(X)^2 within a factor 1 + 1e-6 of it.
+upper bound on sigma_max(X)^2 within a factor 1 + 1e-6 of it (``_lipschitz``
+says when it can fall short).
 """
 
 from __future__ import annotations
@@ -75,14 +76,23 @@ def _lipschitz(X: np.ndarray) -> tuple:
 
     Lanczos with full reorthogonalisation on the smaller of X^T X and X X^T,
     touching X only through matrix-vector products, from a seeded Gaussian
-    start.  With (theta, u) the top Ritz pair, rho = ||A u - theta u|| and
-    slack = rho + (n + d) eps theta (the products' round-off), it stops once
-    slack <= 1e-6 theta, or after min(n, d) steps, when the Krylov space is
-    the whole space, and returns L = theta + slack.  Ritz values never exceed
-    lambda_max and some eigenvalue lies within rho of theta, so
-    sigma_max^2 <= L <= (1 + 1e-6) sigma_max^2 whenever that eigenvalue is the
-    top one; L falls short only if the start is numerically orthogonal to the
-    top eigenvector.  X = c I stops after one step and X = 0 gives 0.
+    start.  With (theta, u) the top Ritz pair, beta the next Lanczos
+    coefficient, rho = beta |u_last| = ||A u - theta u|| and
+    slack = rho + (n + d) eps theta (the products' round-off), it returns
+    L = theta + slack at the first step where slack <= 1e-6 theta and theta
+    has settled: it rose by at most slack over the last two steps, or
+    beta <= (n + d) eps theta, so the Krylov space is invariant (X = c I after
+    one step).  After min(n, d) steps the Krylov space is the whole space and
+    it stops regardless.  Ritz values never exceed lambda_max and some
+    eigenvalue lies within rho of theta, but not necessarily the top one: a
+    Ritz value between two eigenvalues closer than rho has a small residual
+    too, and while the Krylov space holds little of the top eigenvector theta
+    can stall for a step near a lower eigenvalue, hence the two-step rule.
+    So L <= (1 + 1e-6) sigma_max^2, and sigma_max^2 <= L unless the start is
+    numerically orthogonal to the top eigenvector or theta stalls for two
+    steps; the latter was seen only when the top eigenvalues cluster within
+    1e-5 relative, and L then fell short by less than the cluster's width.
+    X = 0 gives (0.0, 1).
     """
     n, d = X.shape
     m = min(n, d)
@@ -91,6 +101,7 @@ def _lipschitz(X: np.ndarray) -> tuple:
     start = np.random.default_rng(0).standard_normal(m)
     basis = [start / np.linalg.norm(start)]
     alphas, betas = [], []
+    tops = [-math.inf, -math.inf]  # top Ritz value after each step
     for step in range(1, m + 1):
         w = gram(basis[-1])
         alphas.append(float(basis[-1] @ w))
@@ -102,8 +113,10 @@ def _lipschitz(X: np.ndarray) -> tuple:
                                     select="i", select_range=(step - 1, step - 1))
         theta = float(theta[0])
         slack = beta * abs(float(u[-1, 0])) + round_off * theta
-        if slack <= 1e-6 * theta or step == m:
+        settled = theta - tops[-2] <= slack or beta <= round_off * theta
+        if (slack <= 1e-6 * theta and settled) or step == m:
             break
+        tops.append(theta)
         betas.append(beta)
         basis.append(w / beta)
     return theta + slack, step

@@ -107,7 +107,7 @@ class ExperimentConfig:
             raise ParameterError(f"unknown d_rule {self.d_rule!r}")
         unknown = [f"{name} {value!r} (known: {', '.join(known)})"
                    for name, value, known in (
-                       ("design_kind", self.design_kind, _CONFIG_DESIGN_KINDS),
+                       ("design_kind", self.design_kind, DesignSpec._KINDS),
                        ("beta_magnitude_rule", self.beta_magnitude_rule, _MAGNITUDE_RULES),
                        ("estimator kind", self.estimator.get("kind"), _ESTIMATORS))
                    if value not in known]
@@ -213,20 +213,22 @@ class ExperimentRun:
 # ---------------------------------------------------------------------------
 
 
+def _solver_options(est: dict) -> dict:
+    """The iteration limit and tolerance ``est`` sets; the solver's defaults stand for the rest."""
+    return {key: convert(est[key]) for key, convert in (("max_iter", int), ("tol", float))
+            if key in est}
+
+
 # estimator kind -> solver of the instance given the estimator dict; lq starts from
 # the truth and from zero (an oracle warm start, so its objective is never worse
 # than at the truth) and reads the ball from the instance
 _ESTIMATORS = {
     "l0": lambda est, inst: l0_least_squares(inst.X, inst.y, int(est["s"])),
     "l1": lambda est, inst: l1_constrained_ls(
-        inst.X, inst.y, float(est["radius"]),
-        max_iter=int(est.get("max_iter", 20_000)), tol=float(est.get("tol", 1e-8))),
+        inst.X, inst.y, float(est["radius"]), **_solver_options(est)),
     "lq": lambda est, inst: lq_constrained_ls(
-        inst.X, inst.y, inst.ball, [inst.beta_star, np.zeros(inst.d)],
-        max_iter=int(est.get("max_iter", 2_000)), tol=float(est.get("tol", 1e-9))),
-    "lasso": lambda est, inst: lasso(
-        inst.X, inst.y, float(est["lam"]),
-        max_iter=int(est.get("max_iter", 10_000)), tol=float(est.get("tol", 1e-10))),
+        inst.X, inst.y, inst.ball, [inst.beta_star, np.zeros(inst.d)], **_solver_options(est)),
+    "lasso": lambda est, inst: lasso(inst.X, inst.y, float(est["lam"]), **_solver_options(est)),
 }
 
 # beta_magnitude_rule -> magnitude of the truth's entries in cell (n, d)
@@ -234,9 +236,6 @@ _MAGNITUDE_RULES = {
     "constant": lambda config, n, d: config.beta_magnitude,
     "threshold_logd": lambda config, n, d: config.sigma * math.sqrt(2.0 * math.log(d) / n),
 }
-
-# an explicit design needs a matrix, which a config does not carry
-_CONFIG_DESIGN_KINDS = tuple(k for k in DesignSpec._KINDS if k != "explicit")
 
 
 def _run_estimator(est: dict, inst: ProblemInstance) -> EstimateResult:

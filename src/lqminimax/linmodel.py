@@ -82,18 +82,17 @@ class BallSpec:
 class DesignSpec:
     """Recipe for a design matrix.
 
-    kind is one of ``explicit``, ``standard_gaussian``, ``correlated_gaussian``
-    (rows i.i.d. N(0, Sigma)), or ``identity_sequence`` (requires n == d).
+    kind is one of ``standard_gaussian``, ``correlated_gaussian`` (rows i.i.d.
+    N(0, Sigma)), or ``identity_sequence`` (requires n == d).
     """
 
     kind: str
     n: int
     d: int
     seed: int = 0
-    matrix: Optional[np.ndarray] = None
     sigma_cov: Optional[np.ndarray] = None
 
-    _KINDS = ("explicit", "standard_gaussian", "correlated_gaussian", "identity_sequence")
+    _KINDS = ("standard_gaussian", "correlated_gaussian", "identity_sequence")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
@@ -104,14 +103,6 @@ class DesignSpec:
             raise DimensionError(
                 f"identity_sequence requires n == d, got n={self.n}, d={self.d}"
             )
-        if self.kind == "explicit":
-            if self.matrix is None:
-                raise ParameterError("explicit design requires a matrix")
-            m = np.asarray(self.matrix, dtype=float)
-            if m.shape != (self.n, self.d):
-                raise DimensionError(
-                    f"explicit matrix has shape {m.shape}, expected ({self.n}, {self.d})"
-                )
         if self.kind == "correlated_gaussian":
             if self.sigma_cov is None:
                 raise ParameterError("correlated_gaussian requires a covariance")
@@ -229,8 +220,6 @@ def generate_design(spec: DesignSpec) -> np.ndarray:
     spec's seed.
     """
     rng, _ = split_streams(spec.seed)
-    if spec.kind == "explicit":
-        return np.array(spec.matrix, dtype=float)
     if spec.kind == "identity_sequence":
         return np.eye(spec.n)
     if spec.kind == "standard_gaussian":

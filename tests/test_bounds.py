@@ -1,10 +1,12 @@
 import math
+import re
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from lqminimax.bounds import (
+    THEOREMS,
     FanoParams,
     RateQuery,
     chi_square_tails,
@@ -55,6 +57,49 @@ class TestMinimaxRate:
     def test_formula_strings_exist(self):
         for name in ("T1a", "T2a", "T4b", "Cor1"):
             assert "log" in rate_formula(name)
+
+    @pytest.mark.parametrize("theorem", THEOREMS)
+    def test_formula_string_evaluates_to_the_rate(self, theorem):
+        # each formula, read with ^ as **, names the parameters and gives the value
+        # of its theorem's row; Rq and s stand for radius, tau for sigma
+        formula = compile(rate_formula(theorem).replace("^", "**"), theorem, "eval")
+        for n, d, q, radius, sigma, kappas, p, diam_term in product(
+                (50, 400, 10**4), (64, 1000), (0.0, 0.5, 1.0), (1.5, 4.0), (0.5, 2.0),
+                ((0.8, 0.6, 1.3), (1.2, 0.9, 2.0)), (1.0, 2.0, 3.0), (0.0, 0.02)):
+            kappa_c, kappa_l, kappa_u = kappas
+            params = dict(n=n, d=d, q=q, radius=radius, sigma=sigma, kappa_c=kappa_c,
+                          kappa_l=kappa_l, kappa_u=kappa_u, p=p, diam_term=diam_term)
+            value = minimax_rate(RateQuery(theorem, constants={"c": 1.7}, **params))
+            names = dict(params, Rq=radius, s=radius, tau=sigma, c=1.7, log=math.log, max=max)
+            assert eval(formula, {"__builtins__": {}}, names) == pytest.approx(value, rel=1e-12)
+
+    @pytest.mark.parametrize("theorem, params, term", [
+        ("T1b", dict(d=3, radius=4.0, kappa_u=1.0), "d/s"),
+        ("T2b_sharp", dict(d=2, radius=2.0, kappa_u=1.0, kappa_l=1.0), "d/s"),
+        ("T3b", dict(d=2, radius=3.0, kappa_u=1.0, kappa_l=1.0), "d/s"),
+        ("T4b", dict(d=8, radius=8.0), "d/s"),
+        ("T1a", dict(d=1, kappa_c=1.0), "d"),
+        ("T2a", dict(d=0.5, kappa_c=1.0, kappa_l=1.0), "d"),
+        ("T2b_plain", dict(d=0, kappa_c=1.0, kappa_l=1.0), "d"),
+        ("T3a", dict(d=-2, kappa_c=1.0, kappa_l=1.0), "d"),
+        ("T4a", dict(d=1, kappa_c=1.0), "d"),
+    ])
+    def test_degenerate_log_term_named(self, theorem, params, term):
+        q = RateQuery(theorem, n=100, constants={"c": 1.0}, **params)
+        with pytest.raises(ParameterError, match=f"log {re.escape(term)} must be positive, "
+                                                 f"got {re.escape(term)} = "):
+            minimax_rate(q)
+
+    def test_cor1_needs_n_above_one(self):
+        q = RateQuery("Cor1", n=1, constants={"c": 1.0})
+        with pytest.raises(ParameterError, match="log n must be positive, got n = 1"):
+            minimax_rate(q)
+
+    def test_constant_error_before_missing_parameter(self):
+        with pytest.raises(ParameterError, match="constant"):
+            minimax_rate(RateQuery("T3b", n=100))
+        with pytest.raises(ParameterError, match="'d'"):
+            minimax_rate(RateQuery("T3b", n=100, constants={"c": 1.0}))
 
     def test_lower_below_upper_on_grid(self):
         # lower bounds (constants 1) never exceed the matching upper bounds

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lqminimax import supports
@@ -413,8 +413,23 @@ class TestLipschitz:
     @given(st.integers(1, 12).flatmap(lambda n: st.integers(1, 12).flatmap(
         lambda d: arrays(np.float64, (n, d), elements=st.one_of(
             st.just(0.0), st.floats(-1e3, -1e-3), st.floats(1e-3, 1e3))))))
+    # top eigenvalues 1 + 1e-6 and 1, and 435^2 + 1 and 435^2: a first Ritz value
+    # between them has a residual under 1e-6 theta but lies below the top one
+    @example(np.array([[0.001, 0.0], [-1.0, 0.0], [0.0, -1.0]]))
+    @example(np.array([[-1.0, -435.0, 0.0, 0.0, 0.0], [0.0] * 5, [0.0, 0.0, -435.0, 0.0, 0.0]]))
     def test_bound_property(self, X):
         _check_lipschitz(X)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8, 12, 50])
+    def test_clustered_top_eigenvalues(self, m):
+        # rotated spectra 1 + delta, 1, ..., 1: the top two eigenvalues differ by delta
+        for e in range(3, 10):
+            rng = np.random.default_rng([m, e])
+            U, _ = np.linalg.qr(rng.standard_normal((m + 3, m)))
+            V, _ = np.linalg.qr(rng.standard_normal((m, m)))
+            eigenvalues = np.ones(m)
+            eigenvalues[0] += 10.0 ** -e
+            _check_lipschitz((U * np.sqrt(eigenvalues)) @ V.T)
 
     @pytest.mark.parametrize("solver", ["l1", "lq"])
     def test_solvers_report_it(self, solver):

@@ -177,6 +177,24 @@ class TestRunRiskExperiment:
         assert all(r.objective_ok for r in run.records)
 
 
+    @pytest.mark.parametrize("kind, solve", [
+        ("l1", lambda inst: l1_constrained_ls(inst.X, inst.y, 1.5, max_iter=1, tol=1e-3)),
+        ("lq", lambda inst: lq_constrained_ls(inst.X, inst.y, inst.ball,
+                                              [inst.beta_star, np.zeros(inst.d)],
+                                              max_iter=1, tol=1e-3)),
+        ("lasso", lambda inst: lasso(inst.X, inst.y, 0.05, max_iter=1, tol=1e-3)),
+    ])
+    def test_estimator_max_iter_and_tol_reach_the_solver(self, kind, solve):
+        ball = BallSpec(0.5, 1.5)
+        X = generate_design(DesignSpec("standard_gaussian", 20, 6, seed=1))
+        inst = simulate(X, generate_sparse_beta(ball, 6, seed=2), 0.1, seed=3, ball=ball)
+        est = {"kind": kind, "radius": 1.5, "lam": 0.05, "max_iter": 1, "tol": 1e-3}
+        got = harness._run_estimator(est, inst)
+        assert got.to_json_dict() == solve(inst).to_json_dict()
+        del est["max_iter"], est["tol"]  # the solver's own defaults
+        assert harness._run_estimator(est, inst).iterations > got.iterations
+
+
 class TestFitRateSlope:
     def test_exact_inverse_law(self):
         fit = fit_rate_slope(_synthetic_records(lambda n: 7.0 / n))
@@ -398,6 +416,39 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["value"] == pytest.approx(81 * 2 * math.log(4) / 100, rel=1e-12)
         assert "formula" in doc
+
+    @pytest.mark.parametrize("params, theorem, expected", [
+        ("n=100,d=8,s=2,sigma=3", "T4b", 81 * 9 * 2 * math.log(4) / 100),
+        ("n=100,d=8,radius=2,tau=3", "T4b", 81 * 9 * 2 * math.log(4) / 100),
+        ("n=100,d=8,Rq=2,q=0,c=5", "T4b", 81 * 2 * math.log(4) / 100),
+        ("n=100,tau=2,q=0,c=5", "Cor1", 5 * 2 * 4 * math.log(100) / 100),
+    ])
+    def test_rates_aliases(self, capsys, params, theorem, expected):
+        assert cli_main(["rates", "--theorem", theorem, "--params", params]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["value"] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("theorem, params, used", [
+        ("T2a", "n=100,d=64,q=1,Rq=1,kappa_c=1,kappa_l=1,c=5", {}),
+        ("T1a", "n=100,d=64,q=1,Rq=1,kappa_c=1,c=5", {"c": 5.0}),
+        ("Cor1", "n=100,c=2", {"c": 2.0}),
+        ("T4b", "n=100,d=8,s=2", {}),
+    ])
+    def test_rates_reports_only_constants_used(self, capsys, theorem, params, used):
+        assert cli_main(["rates", "--theorem", theorem, "--params", params]) == 0
+        assert json.loads(capsys.readouterr().out)["constants_used"] == used
+
+    @pytest.mark.parametrize("params, message", [
+        ("n=100,d=8,s=2,sigmaa=3", r"unknown --params keys \['sigmaa'\]; the keys are \['n'"),
+        ("n=100,d=64,q=1,Rq=1,kappa_c=1,kappa_l=1,c_U=3", r"unknown --params keys \['c_U'\]"),
+        ("n=100,d=8,s=2,radius=3", "--params sets radius twice"),
+        ("d=8,s=2", "--params needs n"),
+        ("n=100,d,s=2", "--params 'd' is not key=number"),
+        ("n=100,d=eight", "--params 'd=eight' is not key=number"),
+    ])
+    def test_rates_bad_params_rejected(self, params, message):
+        with pytest.raises(ParameterError, match=message):
+            cli_main(["rates", "--theorem", "T2a", "--params", params])
 
     def test_simulate_with_estimator(self, tmp_path, capsys):
         out = tmp_path / "inst.json"
