@@ -102,21 +102,16 @@ def project_lq_heuristic(theta: np.ndarray, ball: BallSpec) -> np.ndarray:
         return theta.copy()
 
     order = np.argsort(a)[::-1]
-    a_sorted = a[order]
-    qsums = np.cumsum(a_sorted**q)
-
+    a_sorted = a[order][: np.count_nonzero(a)]
+    # keeping the top k entries scaled by c_k lies at squared distance
+    # (1 - c_k)^2 sum_{j<=k} a_j^2 + sum_{j>k} a_j^2 from theta
+    scales = np.minimum(1.0, (rq / np.cumsum(a_sorted**q)) ** (1.0 / q))
+    sq = a_sorted**2
+    dists = (1.0 - scales) ** 2 * np.cumsum(sq) + np.append(np.cumsum(sq[::-1])[-2::-1], 0.0)
+    k = int(np.argmin(dists)) + 1
     best = np.zeros_like(theta)
-    best_dist = float(theta @ theta)
-    for k in range(1, len(theta) + 1):
-        if a_sorted[k - 1] == 0.0:
-            break
-        scale = min(1.0, (rq / qsums[k - 1]) ** (1.0 / q))
-        cand = np.zeros_like(theta)
-        kept = order[:k]
-        cand[kept] = scale * theta[kept]
-        dist = float(np.sum((cand - theta) ** 2))
-        if dist < best_dist:
-            best, best_dist = cand, dist
+    if dists[k - 1] < theta @ theta:  # else the zero vector is closest
+        best[order[:k]] = scales[k - 1] * theta[order[:k]]
 
     # nudge against roundoff so the 1e-10 feasibility contract always holds
     while not ball_contains(ball, best, tol=1e-10):

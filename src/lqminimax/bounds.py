@@ -61,8 +61,13 @@ class RateQuery:
             raise ParameterError(f"unknown theorem {self.theorem!r}")
         if self.n < 1:
             raise ParameterError("n must be positive")
-        if self.sigma <= 0 or self.radius <= 0:
-            raise ParameterError("sigma and radius must be positive")
+        if not (0.0 < self.sigma < math.inf and 0.0 < self.radius < math.inf):
+            raise ParameterError(
+                f"sigma and radius must be finite and positive, got {self.sigma}, {self.radius}")
+        if not 0.0 <= self.q <= 1.0:
+            raise ParameterError(f"q must lie in [0, 1], got {self.q}")
+        if not 1.0 <= self.p < math.inf:
+            raise ParameterError(f"p must lie in [1, inf), got {self.p}")
 
 
 def _log_log(term: str, value: float) -> float:

@@ -234,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pattern", default=harness.ExperimentConfig.beta_pattern)
+    p.add_argument("--pattern", default=harness.ExperimentConfig.beta_pattern,
+                   choices=list(linmodel._PATTERNS))
     p.add_argument("--magnitude", type=float, default=harness.ExperimentConfig.beta_magnitude)
     p.add_argument("--estimator", default="none",
                    choices=["none", *harness._ESTIMATORS])

@@ -151,62 +151,51 @@ class REEstimate:
         return self.value
 
 
-def in_cone(theta: np.ndarray, s: int, c0: float, rtol: float = 1e-12) -> bool:
-    """Tail l1-mass dominated by the top-s mass: sum_{j>s} |t_(j)| <= c0 sum_{j<=s} |t_(j)|."""
-    a = np.sort(np.abs(np.asarray(theta, dtype=float)))[::-1]
-    head = a[:s].sum()
-    tail = a[s:].sum()
-    return tail <= c0 * head + rtol * max(head, 1.0)
+def _masses(T: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of T: the top-s l1 mass, the remaining (tail) l1 mass, and the
+    coordinates in decreasing order of magnitude."""
+    a = np.abs(T)
+    order = np.argsort(a, axis=1)[:, ::-1]
+    a = np.take_along_axis(a, order, axis=1)
+    return a[:, :s].sum(axis=1), a[:, s:].sum(axis=1), order
 
 
-def _scale_tail(theta: np.ndarray, s: int, ratio: float) -> np.ndarray:
-    """Rescale the tail coordinates so tail mass = ratio * head mass."""
-    a = np.abs(theta)
-    order = np.argsort(a)[::-1]
-    head = a[order[:s]].sum()
-    tail = a[order[s:]].sum()
-    out = theta.astype(float).copy()
-    if tail == 0.0:
-        return out
-    out[order[s:]] *= ratio * head / tail
+def in_cone(theta: np.ndarray, s: int, c0: float, rtol: float = 1e-12):
+    """Tail l1-mass dominated by the top-s mass: sum_{j>s} |t_(j)| <= c0 sum_{j<=s} |t_(j)|.
+
+    A bool for a vector; for a 2-D theta, a boolean array with one entry per row.
+    """
+    theta = np.asarray(theta, dtype=float)
+    head, tail, _ = _masses(np.atleast_2d(theta), s)
+    inside = tail <= c0 * head + rtol * np.maximum(head, 1.0)
+    return bool(inside[0]) if theta.ndim == 1 else inside
+
+
+def _scale_tail(T: np.ndarray, s: int, ratio: float) -> np.ndarray:
+    """Rescale each row's tail so tail mass = ratio * head mass (rows without one stay)."""
+    head, tail, order = _masses(T, s)
+    factor = np.ones_like(tail)
+    np.divide(ratio * head, tail, out=factor, where=tail > 0.0)
+    scale = np.ones(T.shape)
+    np.put_along_axis(scale, order[:, s:], factor[:, None], axis=1)
+    return T * scale
+
+
+def _ratios(X: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """||X t||_2 / (sqrt(n) ||t||_2) for each row t of T; inf for a zero row."""
+    norms = np.linalg.norm(T, axis=1)
+    out = np.full(len(T), math.inf)
+    np.divide(np.linalg.norm(X @ T.T, axis=0), math.sqrt(X.shape[0]) * norms,
+              out=out, where=norms > 0.0)
     return out
 
 
-def _ratio(X: np.ndarray, theta: np.ndarray) -> float:
-    nrm = np.linalg.norm(theta)
-    if nrm == 0.0:
-        return math.inf
-    return float(np.linalg.norm(X @ theta) / (math.sqrt(X.shape[0]) * nrm))
-
-
-def _corner_directions(X: np.ndarray, s: int):
-    """Bottom singular directions of every s-column submatrix (cone corners).
-
-    These realize the exact minimum of the ratio over s-sparse vectors, so a
-    sampled estimate that includes them is never above that minimum.
-    Skipped when there are more than CORNER_LIMIT supports.
-    """
-    n, d = X.shape
-    if math.comb(d, s) > CORNER_LIMIT:
-        return
-    for supports in support_chunks(d, s, per_support=n * s):
-        _, _, vt = np.linalg.svd(np.moveaxis(X[:, supports], 1, 0), full_matrices=False)
-        thetas = np.zeros((len(supports), d))
-        np.put_along_axis(thetas, supports, vt[:, -1, :], axis=1)
-        yield from thetas
-
-
-def _cone_samples(X: np.ndarray, params: REParams, n_samples: int, seed: int):
-    d = X.shape[1]
-    rng = np.random.default_rng(seed)
-    yield from _corner_directions(X, params.s)
-    for _ in range(n_samples):
-        z = rng.standard_normal(d)
-        if in_cone(z, params.s, params.c0):
-            yield z
-        for ratio in _TAIL_RATIO_GRID:
-            if ratio <= params.c0:
-                yield _scale_tail(z, params.s, ratio)
+def _corner_directions(X: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """Rows: the bottom right singular vector of X_S for each support row S, in R^d."""
+    _, _, vt = np.linalg.svd(np.moveaxis(X[:, supports], 1, 0), full_matrices=False)
+    thetas = np.zeros((len(supports), X.shape[1]))
+    np.put_along_axis(thetas, supports, vt[:, -1, :], axis=1)
+    return thetas
 
 
 def re_constant(
@@ -224,8 +213,9 @@ def re_constant(
     upper estimate of the true constant, tagged ``sampled_upper``.
 
     ``exact_tiny`` (d <= 12) additionally certifies zero through kernel
-    directions lying in the cone and polishes the best candidates by local
-    perturbation with a decaying radius.
+    directions lying in the cone and polishes the best candidate by local
+    perturbation with a decaying radius.  The polish is a local search, so
+    its estimates lie below the sampled ones but need not fall with c0.
     """
     if mode not in ("sampled", "exact_tiny"):
         raise ParameterError(f"unknown mode {mode!r}")
@@ -241,37 +231,50 @@ def re_constant(
     if mode == "exact_tiny":
         if d > 12:
             raise ParameterError(f"exact_tiny mode is limited to d <= 12, got d={d}")
-        zero_dir = _kernel_cone_direction(X, params)
-        if zero_dir is not None:
+        if np.any(in_cone(_kernel_directions(X, 512, 12345), params.s, params.c0)):
             return REEstimate(0.0, "exact_tiny")
 
-    best = math.inf
-    best_theta = None
-    for theta in _cone_samples(X, params, n_samples, seed):
-        val = _ratio(X, theta)
-        if val < best:
-            best, best_theta = val, theta
+    # First minimum over candidates in a fixed order: the cone corners (they
+    # realize the exact minimum over s-sparse vectors), then for each random z,
+    # z itself if it lies in the cone and z with its tail rescaled to each grid
+    # ratio <= c0.  No block's shape depends on c0, so neither does the value
+    # of any candidate.
+    s, c0 = params.s, params.c0
+    best, best_theta = math.inf, None
+    if math.comb(d, s) <= CORNER_LIMIT:
+        for supports in support_chunks(d, s, per_support=n * s):
+            thetas = _corner_directions(X, supports)
+            vals = _ratios(X, thetas)
+            k = int(np.argmin(vals))
+            if vals[k] < best:
+                best, best_theta = float(vals[k]), thetas[k]
+
+    Z = np.random.default_rng(seed).standard_normal((n_samples, d))
+    grid = [ratio for ratio in _TAIL_RATIO_GRID if ratio <= c0]
+    # row i holds z_i's candidates in order, so the flat argmin is the first minimum
+    vals = np.empty((n_samples, 1 + len(grid)))
+    vals[:, 0] = np.where(in_cone(Z, s, c0), _ratios(X, Z), math.inf)
+    for j, ratio in enumerate(grid, start=1):
+        vals[:, j] = _ratios(X, _scale_tail(Z, s, ratio))
+    if vals.size:
+        i, j = divmod(int(np.argmin(vals)), vals.shape[1])
+        if vals[i, j] < best:
+            best = float(vals[i, j])
+            best_theta = Z[i] if j == 0 else _scale_tail(Z[i:i + 1], s, grid[j - 1])[0]
 
     if mode == "exact_tiny" and best_theta is not None:
-        best, best_theta = _polish(X, params, best_theta, best, seed)
-        return REEstimate(best, "exact_tiny")
+        return REEstimate(_polish(X, params, best_theta, best, seed), "exact_tiny")
     return REEstimate(best, "sampled_upper")
 
 
-def _kernel_cone_direction(X: np.ndarray, params: REParams) -> Optional[np.ndarray]:
+def _kernel_directions(X: np.ndarray, count: int, seed: int) -> np.ndarray:
+    """Rows: an orthonormal basis of the kernel of X, then ``count`` random
+    combinations of it (no rows when the kernel is trivial)."""
     basis = null_space(X, rcond=1e-10)
     if basis.shape[1] == 0:
-        return None
-    candidates = [basis[:, j] for j in range(basis.shape[1])]
-    rng = np.random.default_rng(12345)
-    for _ in range(512):
-        g = rng.standard_normal(basis.shape[1])
-        candidates.append(basis @ g)
-    for v in candidates:
-        for signed in (v, -v):
-            if np.linalg.norm(signed) > 0 and in_cone(signed, params.s, params.c0):
-                return signed
-    return None
+        return np.zeros((0, X.shape[1]))
+    g = np.random.default_rng(seed).standard_normal((count, basis.shape[1]))
+    return np.vstack([basis.T, g @ basis.T])
 
 
 def _polish(X, params, theta, value, seed, rounds: int = 400):
@@ -279,17 +282,16 @@ def _polish(X, params, theta, value, seed, rounds: int = 400):
     theta = theta / np.linalg.norm(theta)
     radius = 0.5
     for k in range(rounds):
-        cand = theta + radius * rng.standard_normal(len(theta))
+        cand = (theta + radius * rng.standard_normal(len(theta)))[None]
         # restore cone membership by clipping the tail mass
-        a = np.sort(np.abs(cand))[::-1]
-        head, tail = a[: params.s].sum(), a[params.s:].sum()
-        if tail > params.c0 * head:
+        head, tail, _ = _masses(cand, params.s)
+        if tail[0] > params.c0 * head[0]:
             cand = _scale_tail(cand, params.s, params.c0)
-        val = _ratio(X, cand)
+        val = _ratios(X, cand)[0]
         if val < value:
-            value, theta = val, cand / np.linalg.norm(cand)
+            value, theta = float(val), cand[0] / np.linalg.norm(cand[0])
         radius = max(radius * 0.98, 1e-8)
-    return value, theta
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +306,7 @@ def kernel_diameter(
     n_samples: int = 2000,
     seed: int = 0,
 ) -> float:
-    """Lower estimate of the largest lp-norm of a kernel element inside the ball.
+    """Lower estimate of the largest lp-norm (1 <= p <= inf) of a kernel element in the ball.
 
     Exactly 0 for a trivial kernel.  For q = 0 the set B_0(s) is a cone, so
     the diameter is either 0 or infinite; the decision is made on the
@@ -313,24 +315,18 @@ def kernel_diameter(
     criterion.  For q > 0, kernel directions are sampled and rescaled to the
     ball boundary.
     """
+    if not p >= 1.0:
+        raise ParameterError(f"kernel_diameter needs p >= 1, got {p}")
     X = np.asarray(X, dtype=float)
     if ball.q == 0.0:
         return 0.0 if kernel_trivial_zero(X, ball.s) else math.inf
-    basis = null_space(X, rcond=1e-10)
-    if basis.shape[1] == 0:
+    V = _kernel_directions(X, n_samples, seed)
+    if not len(V):
         return 0.0
-    rng = np.random.default_rng(seed)
-    candidates = [basis[:, j] for j in range(basis.shape[1])]
-    for _ in range(n_samples):
-        candidates.append(basis @ rng.standard_normal(basis.shape[1]))
-    best = 0.0
-    for v in candidates:
-        qmass = float(np.sum(np.abs(v) ** ball.q))
-        if qmass == 0.0:
-            continue
-        scale = (ball.radius / qmass) ** (1.0 / ball.q)
-        best = max(best, float(np.sum(np.abs(scale * v) ** p) ** (1.0 / p)))
-    return best
+    scale = (ball.radius / np.sum(np.abs(V) ** ball.q, axis=1)) ** (1.0 / ball.q)
+    W = np.abs(scale[:, None] * V)
+    norms = W.max(axis=1) if math.isinf(p) else np.sum(W**p, axis=1) ** (1.0 / p)
+    return float(norms.max())
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +343,18 @@ class Prop1Report:
     upper_margin_min: float
 
 
+def _margins(X: np.ndarray, root: np.ndarray, sigma_cov: np.ndarray,
+             V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper curvature margins (see ``prop1_margins``) at each row of V."""
+    n, d = X.shape
+    rho = float(np.max(np.diag(sigma_cov)))
+    coef = 6.0 * math.sqrt(rho * math.log(d) / n)
+    xv = np.linalg.norm(X @ V.T, axis=0) / math.sqrt(n)
+    sv = np.linalg.norm(root @ V.T, axis=0)
+    l1 = np.abs(V).sum(axis=1)
+    return xv - (0.5 * sv - coef * l1), (3.0 * sv + coef * l1) - xv
+
+
 def prop1_margins(X: np.ndarray, sigma_cov: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     """Margins of the two-sided curvature bounds at one direction v.
 
@@ -354,16 +362,10 @@ def prop1_margins(X: np.ndarray, sigma_cov: np.ndarray, v: np.ndarray) -> tuple[
     upper margin: (3||S^{1/2}v|| + 6 sqrt(rho log d / n) ||v||_1) - ||Xv||/sqrt(n).
     Nonnegative margins mean the bounds hold.
     """
-    X = np.asarray(X, dtype=float)
-    n, d = X.shape
-    root = symmetric_sqrt(np.asarray(sigma_cov, dtype=float))
-    rho = float(np.max(np.diag(sigma_cov)))
-    coef = 6.0 * math.sqrt(rho * math.log(d) / n)
-    v = np.asarray(v, dtype=float)
-    xv = float(np.linalg.norm(X @ v)) / math.sqrt(n)
-    sv = float(np.linalg.norm(root @ v))
-    l1 = float(np.abs(v).sum())
-    return xv - (0.5 * sv - coef * l1), (3.0 * sv + coef * l1) - xv
+    sigma_cov = np.asarray(sigma_cov, dtype=float)
+    low, up = _margins(np.asarray(X, dtype=float), symmetric_sqrt(sigma_cov), sigma_cov,
+                       np.asarray(v, dtype=float)[None])
+    return float(low[0]), float(up[0])
 
 
 def verify_prop1(
@@ -385,8 +387,6 @@ def verify_prop1(
         raise ParameterError("verify_prop1 needs a Gaussian row ensemble")
     n, d = spec.n, spec.d
     root = symmetric_sqrt(sigma_cov)
-    rho = float(np.max(np.diag(sigma_cov)))
-    coef = 6.0 * math.sqrt(rho * math.log(d) / n)
 
     rng = np.random.default_rng(seed)
     lower_viol = upper_viol = checks = 0
@@ -394,11 +394,7 @@ def verify_prop1(
     for _ in range(n_draws):
         X = rng.standard_normal((n, d)) @ root
         dirs = _direction_batch(rng, d, n_directions)
-        xv = np.linalg.norm(X @ dirs.T, axis=0) / math.sqrt(n)
-        sv = np.linalg.norm(root @ dirs.T, axis=0)
-        l1 = np.abs(dirs).sum(axis=1)
-        low = xv - (0.5 * sv - coef * l1)
-        up = (3.0 * sv + coef * l1) - xv
+        low, up = _margins(X, root, sigma_cov, dirs)
         lower_viol += int(np.count_nonzero(low < -1e-12))
         upper_viol += int(np.count_nonzero(up < -1e-12))
         checks += len(dirs)

@@ -42,11 +42,15 @@ class EstimateResult:
 
     beta_hat: np.ndarray
     objective: float
-    support: tuple
     iterations: int
     converged: bool
     feasible: bool
     info: dict = field(default_factory=dict)
+
+    @property
+    def support(self) -> tuple:
+        """Indices of the nonzero entries of beta_hat."""
+        return tuple(int(j) for j in np.flatnonzero(self.beta_hat))
 
     def to_json_dict(self) -> dict:
         return {
@@ -56,12 +60,8 @@ class EstimateResult:
             "iterations": self.iterations,
             "converged": self.converged,
             "feasible": self.feasible,
-            "info": {k: v for k, v in self.info.items() if _json_ok(v)},
+            "info": dict(self.info),
         }
-
-
-def _json_ok(v) -> bool:
-    return isinstance(v, (int, float, bool, str, list, tuple, type(None)))
 
 
 def _require_finite(**arrays: np.ndarray) -> None:
@@ -154,7 +154,6 @@ def _l0_identity(X: np.ndarray, y: np.ndarray, s: int, c: float) -> EstimateResu
     return EstimateResult(
         beta_hat=beta,
         objective=float(resid @ resid),
-        support=tuple(int(j) for j in np.flatnonzero(beta)),
         iterations=1,
         converged=True,
         feasible=True,
@@ -212,7 +211,6 @@ def l0_least_squares(X: np.ndarray, y: np.ndarray, s: int) -> EstimateResult:
     return EstimateResult(
         beta_hat=beta,
         objective=float(r @ r),
-        support=tuple(int(j) for j in np.flatnonzero(beta)),
         iterations=n_supports,
         converged=True,
         feasible=True,
@@ -305,7 +303,6 @@ def l1_constrained_ls(
     return EstimateResult(
         beta_hat=beta,
         objective=obj,
-        support=tuple(int(j) for j in np.flatnonzero(beta)),
         iterations=it,
         converged=converged,
         feasible=ball_contains(BallSpec(q=1.0, radius=r1), beta, tol=1e-8),
@@ -377,7 +374,6 @@ def lq_constrained_ls(
     return EstimateResult(
         beta_hat=best_beta,
         objective=best_obj,
-        support=tuple(int(j) for j in np.flatnonzero(best_beta)),
         iterations=total_iters,
         converged=any_stationary,
         feasible=ball_contains(ball, best_beta, tol=1e-8),
@@ -460,7 +456,6 @@ def lasso(
     return EstimateResult(
         beta_hat=beta,
         objective=obj,
-        support=tuple(int(j) for j in np.flatnonzero(beta)),
         iterations=total_sweeps,
         converged=converged,
         feasible=True,

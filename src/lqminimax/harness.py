@@ -34,6 +34,7 @@ from .estimators import (
     lq_constrained_ls,
 )
 from .linmodel import (
+    _PATTERNS,
     BallSpec,
     DesignSpec,
     LossSpec,
@@ -108,6 +109,7 @@ class ExperimentConfig:
         unknown = [f"{name} {value!r} (known: {', '.join(known)})"
                    for name, value, known in (
                        ("design_kind", self.design_kind, DesignSpec._KINDS),
+                       ("beta_pattern", self.beta_pattern, _PATTERNS),
                        ("beta_magnitude_rule", self.beta_magnitude_rule, _MAGNITUDE_RULES),
                        ("estimator kind", self.estimator.get("kind"), _ESTIMATORS))
                    if value not in known]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -111,7 +112,11 @@ class DesignSpec:
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Loss selector: ``lp`` with exponent p >= 1, or ``l2_prediction``."""
+    """Loss selector: ``lp`` with finite exponent p >= 1, or ``l2_prediction``.
+
+    An lp loss is the p-th power sum_j |delta_j|^p, which has no limit as
+    p -> inf, so p must be finite.
+    """
 
     kind: str
     p: float = 2.0
@@ -119,8 +124,8 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in ("lp", "l2_prediction"):
             raise ParameterError(f"unknown loss kind {self.kind!r}")
-        if self.kind == "lp" and self.p < 1:
-            raise ParameterError(f"lp loss requires p >= 1, got {self.p}")
+        if self.kind == "lp" and not 1 <= self.p < math.inf:
+            raise ParameterError(f"lp loss requires finite p >= 1, got {self.p}")
 
     @classmethod
     def l2(cls) -> "LossSpec":
@@ -235,35 +240,29 @@ def generate_design(spec: DesignSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# support rule of each truth pattern: (d, k, seed) -> the k support indices
+_PATTERNS = {
+    "random_support": lambda d, k, seed: split_streams(seed)[0].choice(d, size=k, replace=False),
+    "first_coordinates": lambda d, k, seed: np.arange(k),
+}
+
+
 def generate_sparse_beta(
     ball: BallSpec,
     d: int,
     pattern: str = "random_support",
     magnitude: float = 1.0,
     seed: int = 0,
-    explicit: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Generate a ball member with equal-magnitude entries.
 
-    pattern is ``random_support``, ``first_coordinates`` or ``explicit``.  For
-    q > 0 the support size is the largest k with k * magnitude^q <= radius, so
+    pattern is ``random_support`` or ``first_coordinates``.  For q > 0 the
+    support size is the largest k with k * magnitude^q <= radius, so
     membership holds exactly under direct evaluation of sum |b_j|^q.
     """
     ball.validate_for_dim(d)
-    if pattern == "explicit":
-        if explicit is None:
-            raise ParameterError("pattern='explicit' requires an explicit vector")
-        beta = np.asarray(explicit, dtype=float)
-        if beta.shape != (d,):
-            raise DimensionError(f"explicit vector has shape {beta.shape}, expected ({d},)")
-        from .ballgeom import ball_contains
-
-        if not ball_contains(ball, beta, tol=1e-12):
-            raise MembershipError(
-                f"explicit vector violates B_q(q={ball.q}, radius={ball.radius})"
-            )
-        return beta.copy()
-
+    if pattern not in _PATTERNS:
+        raise ParameterError(f"unknown pattern {pattern!r}")
     if magnitude <= 0:
         raise ParameterError(f"magnitude must be positive, got {magnitude}")
     if ball.q == 0.0:
@@ -276,16 +275,8 @@ def generate_sparse_beta(
                 f"magnitude {magnitude} alone exceeds the q={ball.q} budget {ball.radius}"
             )
 
-    if pattern == "first_coordinates":
-        support = np.arange(k)
-    elif pattern == "random_support":
-        rng, _ = split_streams(seed)
-        support = rng.choice(d, size=k, replace=False)
-    else:
-        raise ParameterError(f"unknown pattern {pattern!r}")
-
     beta = np.zeros(d)
-    beta[support] = magnitude
+    beta[_PATTERNS[pattern](d, k, seed)] = magnitude
     return beta
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lqminimax.ballgeom import (
     EntropyBoundParams,
@@ -118,6 +119,44 @@ class TestProjectLqHeuristic:
             rescale = theta * (ball.radius / qmass) ** (1.0 / ball.q)
             assert d_got <= np.sum((trunc - theta) ** 2) + 1e-9
             assert d_got <= np.sum((rescale - theta) ** 2) + 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+                              st.floats(-20.0, 20.0)), min_size=1, max_size=12),
+           st.sampled_from([0.2, 0.25, 0.5, 0.8]), st.sampled_from([0.1, 1.0, 3.0, 4.0]))
+    @example([2.0, 2.0, 0.0, -2.0], 0.5, 1.0)
+    @example([2.0, 0.0, -2.0, -2.0, -2.0, -2.0, 2.0], 0.25, 4.0)
+    def test_matches_top_k_loop(self, entries, q, radius):
+        theta, ball = np.array(entries), BallSpec(q, radius)
+        got = project_lq_heuristic(theta, ball)
+        a = np.abs(theta)
+        if np.sum(a**q) <= radius:
+            assert np.array_equal(got, theta)
+            return
+        # the O(d^2) reference: rebuild every keep-top-k-then-rescale candidate
+        order = np.argsort(a)[::-1]
+        qsums = np.cumsum(a[order] ** q)
+        ref, ref_dist = np.zeros_like(theta), float(theta @ theta)
+        for k in range(1, len(theta) + 1):
+            if a[order[k - 1]] == 0.0:
+                break
+            cand = np.zeros_like(theta)
+            cand[order[:k]] = min(1.0, (radius / qsums[k - 1]) ** (1.0 / q)) * theta[order[:k]]
+            if np.sum((cand - theta) ** 2) < ref_dist:
+                ref, ref_dist = cand, float(np.sum((cand - theta) ** 2))
+        d_got = np.sum((got - theta) ** 2)
+        # the same support, unless two candidates tie in exact arithmetic and
+        # roundoff picks the winner (e.g. [2, 2, 0, -2, -2, -2, 2], q = 1/4, R = 4)
+        if not np.array_equal(np.flatnonzero(got), np.flatnonzero(ref)):
+            assert d_got == pytest.approx(ref_dist, rel=1e-12, abs=1e-12)
+        assert ball_contains(ball, got, tol=1e-10)
+        # no farther than magnitude truncation or global rescaling
+        trunc = np.zeros_like(theta)
+        kept = order[: np.count_nonzero(qsums <= radius)]
+        trunc[kept] = theta[kept]
+        rescale = theta * (radius / qsums[-1]) ** (1.0 / q)
+        for fallback in (trunc, rescale):
+            assert d_got <= np.sum((fallback - theta) ** 2) * (1 + 1e-10) + 1e-12
 
     def test_two_coord_vs_rescale(self):
         ball = BallSpec(0.5, 1.0)

@@ -54,6 +54,18 @@ class TestMinimaxRate:
                       kappa_c=1.0, kappa_l=1.0)
         assert minimax_rate(q) > 0.0
 
+    @pytest.mark.parametrize("theorem, params", [
+        ("T2a", {"q": 5.0, "kappa_c": 1.0, "kappa_l": 1.0}),  # read 2829.74
+        ("T2a", {"q": -0.5, "kappa_c": 1.0, "kappa_l": 1.0}),
+        ("T4b", {"sigma": math.nan}),  # read nan
+        ("T2a", {"radius": math.inf, "kappa_c": 1.0, "kappa_l": 1.0}),  # read inf
+        ("T1a", {"p": math.inf, "kappa_c": 1.0}),  # read 0.0
+        ("T1a", {"p": 0.2, "kappa_c": 1.0}),  # read 1.61
+    ])
+    def test_out_of_range_parameter_rejected(self, theorem, params):
+        with pytest.raises(ParameterError):
+            minimax_rate(RateQuery(theorem, n=100, d=32, constants={"c": 1.0}, **params))
+
     def test_formula_strings_exist(self):
         for name in ("T1a", "T2a", "T4b", "Cor1"):
             assert "log" in rate_formula(name)

@@ -97,6 +97,12 @@ class TestL0:
         assert res.support == (0,)
         assert res.info["method"] == "l0_identity"
 
+    def test_support_follows_beta_hat(self):
+        res = l0_least_squares(np.eye(3), np.array([1.0, 2.0, 3.0]), s=2)
+        assert res.support == (1, 2) and res.to_json_dict()["support"] == [1, 2]
+        with pytest.raises(AttributeError):
+            res.support = (0,)
+
     def test_identity_fastpath_matches_enumeration(self):
         rng = np.random.default_rng(17)
         y = rng.standard_normal(9)

@@ -105,6 +105,7 @@ class TestConfig:
         ({"design_kind": "explicit"}, "design_kind 'explicit'"),
         ({"beta_magnitude_rule": "Constant"}, "beta_magnitude_rule 'Constant'"),
         ({"estimator": {"s": 1}}, "estimator kind None"),
+        ({"beta_pattern": "randm_support"}, "beta_pattern 'randm_support'"),
     ])
     def test_each_unknown_name_rejected(self, overrides, bad):
         with pytest.raises(ParameterError, match=bad):
@@ -539,6 +540,11 @@ class TestCli:
         assert np.std(ref.noise()) == pytest.approx(0.05, rel=0.1)
         with pytest.raises(DimensionError, match="n == d"):
             cli_main(["simulate", "--design", "identity_sequence", "--n", "40", "--d", "30"])
+
+    def test_simulate_pattern_choices(self, capsys):
+        with pytest.raises(SystemExit):
+            cli_main(["simulate", "--n", "5", "--d", "5", "--pattern", "explicit"])
+        assert "first_coordinates" in capsys.readouterr().err
 
     def test_fit_rate_two_logn_over_n_matches_corollary1(self, tmp_path, capsys, monkeypatch):
         configs = []

@@ -94,16 +94,10 @@ class TestGenerateSparseBeta:
         beta = generate_sparse_beta(BallSpec(0.0, 1), 3, pattern="first_coordinates")
         assert np.array_equal(beta, [1.0, 0.0, 0.0])
 
-    def test_explicit_boundary_membership(self):
-        beta = generate_sparse_beta(
-            BallSpec(1.0, 1.0), 3, pattern="explicit",
-            explicit=np.array([0.5, -0.5, 0.0]))
-        assert np.abs(beta).sum() == 1.0
-
-    def test_explicit_violation_rejected(self):
-        with pytest.raises(MembershipError):
-            generate_sparse_beta(BallSpec(1.0, 1.0), 2, pattern="explicit",
-                                 explicit=np.array([0.8, 0.8]))
+    def test_unknown_pattern_rejected(self):
+        for pattern in ("explicit", "randm_support"):
+            with pytest.raises(ParameterError, match="unknown pattern"):
+                generate_sparse_beta(BallSpec(1.0, 1.0), 3, pattern=pattern)
 
     def test_q_half_membership_direct_sum(self):
         beta = generate_sparse_beta(BallSpec(0.5, 2.0), 20,
@@ -172,6 +166,13 @@ class TestLoss:
     def test_p_below_one_rejected(self):
         with pytest.raises(ParameterError):
             LossSpec("lp", 0.5)
+
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_infinite_or_nan_p_rejected(self, p):
+        # sum |delta_j|^p has no limit as p -> inf: it read 0.0 for
+        # delta = (0.5, -0.25, 0) and inf for (2, 0.1)
+        with pytest.raises(ParameterError):
+            LossSpec("lp", p)
 
     def test_l2_alias_matches_lp2(self):
         rng = np.random.default_rng(0)

@@ -96,7 +96,8 @@ class TestBatchedCallersMatchLoops:
             theta = np.zeros(13)
             theta[list(support)] = vt[-1]
             expected.append(theta)
-        assert np.array_equal(np.array(list(_corner_directions(X, 3))), np.array(expected))
+        corners = [_corner_directions(X, c) for c in support_chunks(13, 3, per_support=28 * 3)]
+        assert np.array_equal(np.concatenate(corners), np.array(expected))
 
     def test_hypercube_points_bit_identical(self):
         expected = []
