@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, require_finite
 from .supports import support_chunks
 
 __all__ = [
@@ -260,6 +260,7 @@ def sup_correlation_exact(X: np.ndarray, w: np.ndarray, s: int, r: float) -> flo
         raise DimensionError(f"w has shape {w.shape}, expected ({X.shape[0]},)")
     if s < 1 or r < 0:
         raise ParameterError("need s >= 1 and r >= 0")
+    require_finite(X=X, w=w)
     z_sq = (X.T @ w) ** 2
     k = min(2 * s, X.shape[1])
     top = np.sort(z_sq)[-k:]
@@ -280,6 +281,7 @@ def sup_correlation_pred_exact(X: np.ndarray, w: np.ndarray, s: int, r: float) -
         raise DimensionError(f"w has shape {w.shape}, expected ({n},)")
     if s < 1 or r < 0:
         raise ParameterError("need s >= 1 and r >= 0")
+    require_finite(X=X, w=w)
     level = min(2 * s, d)
     best = 0.0
     for supports in support_chunks(d, level, per_support=n * level):

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import null_space
 
-from .errors import ConsistencyError, DimensionError, ParameterError
+from .errors import ConsistencyError, DimensionError, ParameterError, require_finite
 from .linmodel import BallSpec, DesignSpec, symmetric_sqrt
 from .supports import support_chunks
 
@@ -59,6 +59,7 @@ def column_norm_constant(X: np.ndarray) -> float:
     X = np.asarray(X, dtype=float)
     if X.size == 0:
         raise DimensionError("empty design")
+    require_finite(X=X)
     return float(np.linalg.norm(X, axis=0).max() / np.sqrt(X.shape[0]))
 
 
@@ -97,13 +98,16 @@ def sparse_spectrum(X: np.ndarray, s: int) -> tuple[float, float]:
     Equals the min and max of ||X theta||_2 / (sqrt(n) ||theta||_2) over
     2s-sparse theta.  Exact; raises when C(d, 2s) exceeds the budget.
     """
-    kappa_l, kappa_u, _ = _sparse_scan(np.asarray(X, dtype=float), 2 * s)
+    X = np.asarray(X, dtype=float)
+    require_finite(X=X)
+    kappa_l, kappa_u, _ = _sparse_scan(X, 2 * s)
     return kappa_l, kappa_u
 
 
 def sparse_min_singular(X: np.ndarray, level: int) -> float:
     """min over supports |S| = level of sigma_min(X_S) / sqrt(n)."""
     X = np.asarray(X, dtype=float)
+    require_finite(X=X)
     n, d = X.shape
     if not 1 <= level <= d:
         raise ParameterError(f"need 1 <= level <= d, got {level}")
@@ -119,6 +123,7 @@ def kernel_trivial_zero(X: np.ndarray, s: int) -> bool:
     submatrix.  2s > n forces rank deficiency, hence False.
     """
     X = np.asarray(X, dtype=float)
+    require_finite(X=X)
     n, d = X.shape
     if 2 * s > d:
         raise ParameterError(f"need 2s <= d, got s={s}, d={d}")
@@ -220,6 +225,7 @@ def re_constant(
     if mode not in ("sampled", "exact_tiny"):
         raise ParameterError(f"unknown mode {mode!r}")
     X = np.asarray(X, dtype=float)
+    require_finite(X=X)
     n, d = X.shape
     if params.s >= d:
         # the cone is all of R^d: no tail coordinates exist, and for n < d
@@ -318,6 +324,7 @@ def kernel_diameter(
     if not p >= 1.0:
         raise ParameterError(f"kernel_diameter needs p >= 1, got {p}")
     X = np.asarray(X, dtype=float)
+    require_finite(X=X)
     if ball.q == 0.0:
         return 0.0 if kernel_trivial_zero(X, ball.s) else math.inf
     V = _kernel_directions(X, n_samples, seed)
@@ -362,9 +369,9 @@ def prop1_margins(X: np.ndarray, sigma_cov: np.ndarray, v: np.ndarray) -> tuple[
     upper margin: (3||S^{1/2}v|| + 6 sqrt(rho log d / n) ||v||_1) - ||Xv||/sqrt(n).
     Nonnegative margins mean the bounds hold.
     """
-    sigma_cov = np.asarray(sigma_cov, dtype=float)
-    low, up = _margins(np.asarray(X, dtype=float), symmetric_sqrt(sigma_cov), sigma_cov,
-                       np.asarray(v, dtype=float)[None])
+    X, sigma_cov, v = (np.asarray(a, dtype=float) for a in (X, sigma_cov, v))
+    require_finite(X=X, sigma_cov=sigma_cov, v=v)
+    low, up = _margins(X, symmetric_sqrt(sigma_cov), sigma_cov, v[None])
     return float(low[0]), float(up[0])
 
 
@@ -461,6 +468,7 @@ def diagnose(
 ) -> DesignDiagnostics:
     """Measure every design constant at sparsity level s (spectrum at 2s)."""
     X = np.asarray(X, dtype=float)
+    require_finite(X=X)
     if ball is None:
         ball = BallSpec(q=0.0, radius=float(s))
     # one scan at level 2s gives the spectrum, the kernel test, and the

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finite-input check that raises one."""
+
+import numpy as np
 
 
 class DimensionError(ValueError):
@@ -23,3 +25,15 @@ class EnumerationBudgetError(ValueError):
 
 class ConsistencyError(RuntimeError):
     """Raised when an internally certified quantity fails its own certificate."""
+
+
+def require_finite(**arrays) -> None:
+    """Raise ParameterError naming the first argument with a NaN or inf entry.
+
+    min and max propagate NaN and, unlike isfinite, allocate no array the
+    size of the argument, so the check can precede an enumeration budget.
+    """
+    for name, a in arrays.items():
+        a = np.asarray(a)
+        if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
+            raise ParameterError(f"{name} has non-finite entries")

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .ballgeom import ball_contains, project_l1, project_lq_heuristic
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, require_finite
 from .linmodel import BallSpec, ProblemInstance
 from .supports import check_budget, support_chunks
 
@@ -62,13 +62,6 @@ class EstimateResult:
             "feasible": self.feasible,
             "info": dict(self.info),
         }
-
-
-def _require_finite(**arrays: np.ndarray) -> None:
-    """Raise ParameterError naming the first argument with a NaN or inf entry."""
-    for name, a in arrays.items():
-        if not np.all(np.isfinite(a)):
-            raise ParameterError(f"{name} has non-finite entries")
 
 
 def _lipschitz(X: np.ndarray) -> tuple:
@@ -164,13 +157,25 @@ def _l0_identity(X: np.ndarray, y: np.ndarray, s: int, c: float) -> EstimateResu
 def l0_least_squares(X: np.ndarray, y: np.ndarray, s: int) -> EstimateResult:
     """Exact least squares over the l0-ball: min ||y - X b||_2^2 s.t. ||b||_0 <= s.
 
-    Enumerates every size-s support in lexicographic order and solves the
-    normal equations on each; a support whose Gram block is exactly
-    singular, or whose solve is not trustworthy, is redone by minimum-norm
-    lstsq with a 1e-12 relative cutoff.  Ties go to the lexicographically
-    smallest support.  Scalar multiples of the identity take an exact
-    top-s shortcut instead, which makes sequence-model sizes feasible.
-    Non-finite entries in X or y raise ParameterError.
+    Scores every size-s support, in lexicographic order, from the Gram
+    matrix.  Supports are grouped by their first s - 1 entries, the prefix
+    P: the Cholesky rows W = L_P^{-1} G[P, :] and z = L_P^{-1} c_P of a
+    prefix are built once, and every completion j > max(P) is scored at
+    once by the Schur complement
+
+        RSS(P + j) = (y^T y - ||z||^2) - (c_j - W_j . z)^2 / (G_jj - ||W_j||^2).
+
+    A support is redone by lstsq (``_unit_lstsq``) when some pivot of its
+    factor, prefix pivots included, is not both finite and above 1e-12
+    times its column's diagonal Gram entry (zero or duplicated columns), or
+    when its residual falls below -1e-8 max(y^T y, 1) (cancellation);
+    info["lstsq_supports"] counts them.  Ties go to the lexicographically
+    smallest support.  The winner is refitted by lstsq with a 1e-12
+    relative cutoff, and by ``_unit_lstsq`` if that cutoff drops a
+    direction: the scores, like ``_unit_lstsq``, do not depend on column
+    scale.  Scalar multiples of the identity take an exact top-s shortcut
+    instead, which makes sequence-model sizes feasible.  Non-finite entries
+    in X or y raise ParameterError.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -179,7 +184,7 @@ def l0_least_squares(X: np.ndarray, y: np.ndarray, s: int) -> EstimateResult:
         raise DimensionError(f"y has shape {y.shape}, expected ({n},)")
     if not 1 <= s <= d:
         raise ParameterError(f"need 1 <= s <= d, got s={s}, d={d}")
-    _require_finite(y=y)
+    require_finite(y=y)
 
     c = _scalar_identity_factor(X)
     if c is not None:
@@ -195,53 +200,92 @@ def l0_least_squares(X: np.ndarray, y: np.ndarray, s: int) -> EstimateResult:
         raise ParameterError("X^T X is not finite: X has non-finite or overflowing entries")
     yy = float(y @ y)
 
+    # prefixes end before column d - 1, so each has a completion
+    prefix_chunks = (support_chunks(d - 1, s - 1, per_support=(s - 1) * d) if s > 1
+                     else [np.zeros((1, 0), dtype=np.intp)])
     best_obj = math.inf
     best_support: Optional[np.ndarray] = None
-    for chunk in support_chunks(d, s, per_support=s * s):
-        resid = _chunk_residuals(X, y, gram, corr, yy, chunk)
-        k = int(np.argmin(resid))
-        if resid[k] < best_obj:
-            best_obj = float(resid[k])
-            best_support = chunk[k]
+    n_lstsq = 0
+    for chunk in prefix_chunks:
+        resid, redone = _completion_residuals(X, y, gram, corr, yy, chunk)
+        n_lstsq += redone
+        i, j = divmod(int(np.argmin(resid)), d)
+        if resid[i, j] < best_obj:
+            best_obj = float(resid[i, j])
+            best_support = np.append(chunk[i], j)
 
-    b, *_ = np.linalg.lstsq(X[:, best_support], y, rcond=1e-12)
+    X_S = X[:, best_support]
+    b, _, rank, _ = np.linalg.lstsq(X_S, y, rcond=1e-12)
+    if rank < s:
+        b = _unit_lstsq(X_S, y)[0]
     beta = np.zeros(d)
     beta[best_support] = b
-    r = y - X[:, best_support] @ b
+    r = y - X_S @ b
     return EstimateResult(
         beta_hat=beta,
         objective=float(r @ r),
         iterations=n_supports,
         converged=True,
         feasible=True,
-        info={"method": "l0_enumeration", "n_supports": n_supports},
+        info={"method": "l0_enumeration", "n_supports": n_supports,
+              "lstsq_supports": n_lstsq},
     )
 
 
-def _chunk_residuals(X, y, gram, corr, yy, supports) -> np.ndarray:
-    """Residual ||y - X_S b_S||^2 for every support row, via the Gram matrix.
+def _completion_residuals(X, y, gram, corr, yy, prefixes) -> tuple[np.ndarray, int]:
+    """(resid, redone): resid[i, j] = ||y - X_S b_S||^2 for S = prefixes[i] + (j,).
 
-    Supports whose block is exactly singular, whose solution is not finite
-    or whose residual fails the cancellation guard are redone with lstsq.
+    Entries with j <= max(prefixes[i]) are inf, so a row-major argmin walks
+    the supports in lexicographic order.  Untrusted supports (see
+    ``l0_least_squares``) are redone with lstsq; ``redone`` counts them.
+    Every (m, d) array is written in place: fresh pages, not flops, bound
+    this pass.
     """
+    m, k = prefixes.shape
     d = gram.shape[0]
-    g_ss = np.take(gram, supports[:, :, None] * d + supports[:, None, :])
-    c_s = corr[supports]
-    try:
-        sol = np.linalg.solve(g_ss, c_s[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        # the blocks are symmetric, so slogdet's LU is solve's: sign 0 marks a zero pivot
-        regular = np.linalg.slogdet(g_ss)[0] != 0.0
-        sol = np.full_like(c_s, np.nan)
-        sol[regular] = np.linalg.solve(g_ss[regular], c_s[regular, :, None])[..., 0]
-    resid = yy - np.einsum("ms,ms->m", c_s, sol)
-    trusted = np.all(np.isfinite(sol), axis=1) & (resid >= -1e-8 * max(yy, 1.0))
-    for i in np.flatnonzero(~trusted):
-        sup = supports[i]
-        b, *_ = np.linalg.lstsq(X[:, sup], y, rcond=1e-12)
-        r = y - X[:, sup] @ b
-        resid[i] = r @ r
-    return np.maximum(resid, 0.0)
+    diag = np.diagonal(gram)
+    rows = np.arange(m)
+    W = np.empty((k, m, d))  # W[i] = row i of L_P^{-1} G[P, :], per prefix
+    z = np.empty((k, m))  # z[i] = entry i of L_P^{-1} c_P
+    pivots = np.empty((m, d))
+    resid = np.empty((m, d))
+    trusted = np.ones(m, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(k):
+            p = prefixes[:, i]
+            wp = W[:i, rows, p]
+            pivot = diag[p] - np.einsum("lm,lm->m", wp, wp)
+            trusted &= pivot > 1e-12 * diag[p]
+            root = np.sqrt(pivot)
+            z[i] = (corr[p] - np.einsum("lm,lm->m", wp, z[:i])) / root
+            np.einsum("lm,lmd->md", wp, W[:i], out=resid)  # resid is free until the end
+            np.take(gram, p, axis=0, out=W[i], mode="clip")  # "raise" would buffer out
+            W[i] -= resid
+            W[i] /= root[:, None]
+        np.subtract(diag, np.einsum("kmd,kmd->md", W, W, out=pivots), out=pivots)
+        np.subtract(corr, np.einsum("km,kmd->md", z, W, out=resid), out=resid)
+        resid *= resid
+        resid /= pivots
+        np.subtract((yy - np.einsum("km,km->m", z, z))[:, None], resid, out=resid)
+        trusted = trusted[:, None] & (pivots > 1e-12 * diag)
+        trusted &= resid >= -1e-8 * max(yy, 1.0)
+    later = np.arange(d) > (prefixes[:, -1:] if k else np.full((m, 1), -1))
+    redo = np.argwhere(later & ~trusted)
+    for i, j in redo:
+        resid[i, j] = _unit_lstsq(X[:, np.append(prefixes[i], j)], y)[1]
+    resid[~later] = math.inf
+    return np.maximum(resid, 0.0, out=resid), len(redo)
+
+
+def _unit_lstsq(X_S: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """(b, ||y - X_S b||^2): minimum-norm least squares in units of unit-norm
+    columns, with a 1e-12 relative cutoff, so the cutoff judges dependence
+    between columns, not their scale (zero columns get coefficient 0)."""
+    scale = np.linalg.norm(X_S, axis=0)
+    scale[scale == 0.0] = 1.0
+    b = np.linalg.lstsq(X_S / scale, y, rcond=1e-12)[0] / scale
+    r = y - X_S @ b
+    return b, float(r @ r)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +317,7 @@ def l1_constrained_ls(
     y = np.asarray(y, dtype=float)
     if r1 <= 0:
         raise ParameterError(f"r1 must be positive, got {r1}")
-    _require_finite(X=X, y=y)
+    require_finite(X=X, y=y)
     lip, lip_steps = _lipschitz(X)
     beta = np.zeros(X.shape[1])
     trace = []
@@ -340,7 +384,7 @@ def lq_constrained_ls(
         raise ParameterError("need at least one start")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    _require_finite(X=X, y=y)
+    require_finite(X=X, y=y)
     lip, lip_steps = _lipschitz(X)
     step = 1.0 / lip if lip > 0 else 1.0
 
@@ -411,7 +455,7 @@ def lasso(
     y = np.asarray(y, dtype=float)
     if lam < 0:
         raise ParameterError(f"lambda must be nonnegative, got {lam}")
-    _require_finite(X=X, y=y)
+    require_finite(X=X, y=y)
     n, d = X.shape
     col_sq = np.einsum("ij,ij->j", X, X) / n
     skipped = np.flatnonzero(col_sq == 0.0)

@@ -9,8 +9,9 @@ ties toward the lexicographically smallest support.  ``check_budget`` is
 the one place that raises ``EnumerationBudgetError``; it runs before
 anything is built.  A chunk holds at most ``CHUNK_ENTRIES // per_support``
 supports (at least one), where ``per_support`` counts the numbers a caller
-stacks per support, such as a k x k Gram block or an n x k column block,
-so no stacked array outgrows ``CHUNK_ENTRIES`` numbers.
+stacks per support, such as the k rows of d Cholesky entries exact l0
+keeps per size-k prefix, or an n x k column block, so no stacked array
+outgrows ``CHUNK_ENTRIES`` numbers.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from lqminimax.conditions import (
     sparse_spectrum,
     verify_prop1,
 )
+from lqminimax.bounds import sup_correlation_exact, sup_correlation_pred_exact
 from lqminimax.errors import ConsistencyError, ParameterError
 from lqminimax.linmodel import BallSpec, DesignSpec, generate_design, simulate
 from lqminimax.estimators import l0_least_squares
@@ -441,3 +442,39 @@ class TestArraySearchesMatchReferences:
         finally:
             tracemalloc.stop()
         assert peak <= 48 * 2**20
+
+
+_NAN_X = np.random.default_rng(3).standard_normal((8, 6))
+_NAN_X[2, 4] = np.nan
+_W = np.random.default_rng(4).standard_normal(8)
+_INF_W = _W.copy()
+_INF_W[5] = np.inf
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: column_norm_constant(_NAN_X), "X"),
+    (lambda: sparse_spectrum(_NAN_X, 1), "X"),
+    (lambda: sparse_min_singular(_NAN_X, 2), "X"),
+    (lambda: kernel_trivial_zero(_NAN_X, 1), "X"),
+    (lambda: kernel_trivial_zero(_NAN_X, 3), "X"),  # 2s > n would answer without a scan
+    (lambda: re_constant(_NAN_X, REParams(s=1, c0=1.0)), "X"),
+    (lambda: re_constant(_NAN_X, REParams(s=2, c0=1.0), mode="exact_tiny"), "X"),
+    (lambda: kernel_diameter(_NAN_X, BallSpec(0.5, 1.0)), "X"),
+    (lambda: kernel_diameter(_NAN_X, BallSpec(0.0, 1)), "X"),
+    (lambda: diagnose(_NAN_X, 1, n_samples=10), "X"),
+    (lambda: prop1_margins(_NAN_X, np.eye(6), np.ones(6)), "X"),
+    (lambda: prop1_margins(np.nan_to_num(_NAN_X), np.eye(6), _INF_W[2:]), "v"),
+    (lambda: sup_correlation_exact(_NAN_X, _W, 1, 1.0), "X"),
+    (lambda: sup_correlation_pred_exact(_NAN_X, _W, 1, 1.0), "X"),
+    (lambda: sup_correlation_exact(np.nan_to_num(_NAN_X), _INF_W, 1, 1.0), "w"),
+    (lambda: sup_correlation_pred_exact(np.nan_to_num(_NAN_X), _INF_W, 1, 1.0), "w"),
+], ids=["column_norm_constant", "sparse_spectrum", "sparse_min_singular",
+        "kernel_trivial_zero", "kernel_trivial_zero_wide", "re_constant_sampled",
+        "re_constant_exact_tiny", "kernel_diameter_q", "kernel_diameter_q0", "diagnose", "prop1_margins_X", "prop1_margins_v",
+        "sup_correlation_exact_X", "sup_correlation_pred_exact_X",
+        "sup_correlation_exact_w", "sup_correlation_pred_exact_w"])
+def test_nonfinite_design_rejected(call, name):
+    # a NaN used to surface as LinAlgError, scipy's ValueError, a nan constant
+    # or margin, or (NaN in w) a supremum of 0.0
+    with pytest.raises(ParameterError, match=f"^{name} has non-finite entries$"):
+        call()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -151,6 +152,105 @@ class TestL0:
     def test_infinite_identity_not_a_shortcut(self):
         with pytest.raises(ParameterError, match="not finite"):
             l0_least_squares(np.diag([np.inf] * 3), np.ones(3), s=1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 9), st.data())
+    def test_matches_brute_force_property(self, n, d, data):
+        # zero, duplicated (possibly rescaled) and rescaled columns on a
+        # Gaussian design; y is a noisy sparse fit on the design before them
+        s = data.draw(st.integers(1, d), label="s")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        X = rng.standard_normal((n, d))
+        y = X[:, :s] @ rng.standard_normal(s) + 0.1 * rng.standard_normal(n)
+        for j in range(d):
+            defect = data.draw(st.sampled_from(["none", "zero", "duplicate", "scale"]))
+            factor = data.draw(st.sampled_from([1.0, -2.0, 1e-3, 1e3]))
+            if defect == "zero":
+                X[:, j] = 0.0
+            elif defect == "duplicate":
+                X[:, j] = factor * X[:, data.draw(st.integers(0, d - 1))]
+            elif defect == "scale":
+                X[:, j] *= factor
+        res = l0_least_squares(X, y, s)
+        _, obj = brute_force_l0(X, y, s)
+        assert abs(res.objective - obj) <= 1e-10 * max(obj, 1.0)
+
+    @pytest.mark.parametrize("seed, n, d, s, defect", [
+        (1_000_000_001, 4, 6, 3, {0: 0.0, 1: 0.0, 3: (1e3, 2)}),
+        (384104952, 7, 9, 5, {0: 1e-3, 2: (1e-3, 7), 4: 0.0, 5: (1e-3, 0), 6: 1e3,
+                              7: (1e-3, 5), 8: -2.0}),
+    ], ids=["scaled_duplicate", "duplicate_chain"])
+    def test_degenerate_columns_match_brute_force(self, seed, n, d, s, defect):
+        # scaled_duplicate: column 3 is 1000 x column 2; a batched LU solve of
+        # the Gram blocks found no zero pivot and returned residual 0.614 over
+        # the optimum 0.559.  duplicate_chain: columns 0, 5, 7 and 2 are
+        # 1e-3, 1e-6, 1e-9 and 1e-6 times one column; (1, 2, 3, 5, 6) and
+        # (1, 2, 3, 6, 7) tie, and a refit with a cutoff relative to the
+        # largest column dropped column 7 (9.12 over 0.056).  Defects apply in
+        # column order: a factor rescales the column, (factor, k) copies column k.
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, d))
+        y = X[:, :s] @ rng.standard_normal(s) + 0.1 * rng.standard_normal(n)
+        for j, change in sorted(defect.items()):
+            X[:, j] = change[0] * X[:, change[1]] if isinstance(change, tuple) else change * X[:, j]
+        res = l0_least_squares(X, y, s)
+        _, obj = brute_force_l0(X, y, s)
+        assert abs(res.objective - obj) <= 1e-10 * max(obj, 1.0)
+
+    @pytest.mark.parametrize("s", [1, 7])
+    def test_empty_prefix_and_full_support(self, s):
+        # s = 1 scores every column with no prefix; s = d has one support
+        rng = np.random.default_rng(31)
+        X = rng.standard_normal((12, 7))
+        y = rng.standard_normal(12)
+        res = l0_least_squares(X, y, s)
+        _, obj = brute_force_l0(X, y, s)
+        assert abs(res.objective - obj) <= 1e-10 * max(obj, 1.0)
+        assert res.info["n_supports"] == math.comb(7, s)
+        assert res.info["lstsq_supports"] == 0
+        X[:, 4] = X[:, 2]
+        redone = l0_least_squares(X, y, s).info["lstsq_supports"]
+        assert redone == (0 if s == 1 else 1)
+
+    def test_ties_across_prefix_chunks_lexicographic(self, monkeypatch):
+        # column 2 duplicates column 1, so (1, 3) and (2, 3) fit y = X_1 + X_3
+        # exactly; they differ in their prefix, which sits in its own chunk
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((10, 6))
+        X[:, 2] = X[:, 1]
+        y = X[:, 1] + X[:, 3]
+        monkeypatch.setattr(supports, "CHUNK_ENTRIES", 6)
+        chunks = [[tuple(r) for r in c] for c in supports.support_chunks(5, 1, per_support=6)]
+        assert not any((1,) in c and (2,) in c for c in chunks)
+        assert l0_least_squares(X, y, s=2).support == (1, 3)
+
+    @pytest.mark.parametrize("defect, redone", [("none", 0), ("duplicate", math.comb(22, 2)),
+                                                ("zero", math.comb(23, 3))])
+    def test_reports_lstsq_supports(self, defect, redone):
+        # the supports with both copies of a column, or with the zero column
+        rng = np.random.default_rng(24)
+        X = rng.standard_normal((40, 24))
+        if defect != "none":
+            X[:, 17] = X[:, 3] if defect == "duplicate" else 0.0
+        y = rng.standard_normal(40)
+        assert l0_least_squares(X, y, s=4).info["lstsq_supports"] == redone
+
+    def test_prefix_chunks_keep_memory_flat(self):
+        # 82,251 prefixes (every 4-subset of the first 39 columns) in 7 chunks;
+        # one (prefix, column) array over all of them would take 26 MB, and the
+        # pass keeps six of them
+        rng = np.random.default_rng(40)
+        X = rng.standard_normal((60, 40))
+        y = rng.standard_normal(60)
+        assert len(list(supports.support_chunks(39, 4, per_support=4 * 40))) > 1
+        tracemalloc.start()
+        try:
+            res = l0_least_squares(X, y, s=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.info["n_supports"] == math.comb(40, 5)
+        assert peak <= 2 * supports.CHUNK_ENTRIES * 8
 
 
 _SOLVERS = {
