@@ -13,7 +13,6 @@ from lqminimax import (
     generate_design,
     generate_sparse_beta,
     loss,
-    sequence_model_instance,
     simulate,
 )
 from lqminimax.linmodel import instance_to_json
@@ -40,9 +39,14 @@ beta_soft = generate_sparse_beta(soft, d=64, magnitude=1.0, seed=3)
 print("soft-sparse support size:", np.count_nonzero(beta_soft),
       " q-mass:", np.sum(np.abs(beta_soft) ** 0.5))
 
-# the normal sequence model is the d = n identity-design special case
-seq = sequence_model_instance(n=16, tau=2.0, ball=BallSpec(0.0, 3), seed=4)
-print("sequence model: sigma^2 =", seq.sigma**2, "(tau^2 / n = 0.25)")
+# the normal sequence model y_i / sqrt(n) = b_i + (tau / sqrt(n)) z_i is the
+# d = n design sqrt(n) I with noise level sigma = tau
+seq_ball = BallSpec(0.0, 3)
+seq_X = generate_design(DesignSpec("identity_sequence", n=16, d=16, seed=4))
+seq = simulate(seq_X, generate_sparse_beta(seq_ball, d=16, seed=4), sigma=2.0, seed=4,
+               ball=seq_ball)
+print("sequence model: X = sqrt(n) I:", np.array_equal(seq.X, 4.0 * np.eye(16)),
+      " per-coordinate noise tau^2 / n =", seq.sigma**2 / seq.n)
 
 # instances serialize to a flat JSON document
 print("JSON snippet:", instance_to_json(seq)[:80], "...")

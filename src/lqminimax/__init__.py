@@ -68,7 +68,6 @@ from .linmodel import (
     generate_design,
     generate_sparse_beta,
     loss,
-    sequence_model_instance,
     simulate,
 )
 

@@ -156,34 +156,26 @@ def truncation_inequality(theta: np.ndarray, rq: float, q: float, tau: float) ->
 # packings
 # ---------------------------------------------------------------------------
 
-Metric = Union[str, tuple]
-
-
-def _pairwise_distances(points: np.ndarray, metric: Metric) -> np.ndarray:
+def _pairwise_distances(points: np.ndarray, metric: str) -> np.ndarray:
     """Condensed vector of all pairwise distances."""
     pts = np.asarray(points, dtype=float)
     if metric == "l2":
         return pdist(pts, "euclidean")
     if metric == "hamming":
         return pdist(pts, "hamming") * pts.shape[1]
-    if isinstance(metric, tuple) and metric[0] == "lp":
-        return pdist(pts, "minkowski", p=float(metric[1]))
     raise ParameterError(f"unknown metric {metric!r}")
 
 
-def _point_distances(points: np.ndarray, z: np.ndarray, metric: Metric) -> np.ndarray:
+def _point_distances(points: np.ndarray, z: np.ndarray, metric: str) -> np.ndarray:
     """Distances from each row of ``points`` to the single point ``z``."""
     if metric == "hamming":
         return np.count_nonzero(points != z, axis=1)
     if metric == "l2":
         return np.linalg.norm(points - z, axis=1)
-    if isinstance(metric, tuple) and metric[0] == "lp":
-        p = float(metric[1])
-        return np.sum(np.abs(points - z) ** p, axis=1) ** (1.0 / p)
     raise ParameterError(f"unknown metric {metric!r}")
 
 
-def _exact_min_distance(points: np.ndarray, metric: Metric) -> float:
+def _exact_min_distance(points: np.ndarray, metric: str) -> float:
     if points.shape[0] < 2:
         return math.inf
     return float(_pairwise_distances(points, metric).min())
@@ -195,7 +187,7 @@ class PackingResult:
 
     points: np.ndarray  # (m, d)
     min_pairwise_distance: float
-    metric: Metric
+    metric: str  # "l2" or "hamming"
     delta: float
 
     @property
@@ -283,7 +275,7 @@ def rescale_hypercube_packing(packing: PackingResult, delta_n: float, s: int) ->
 def greedy_pack(
     candidates: Union[np.ndarray, Iterable[np.ndarray]],
     delta: float,
-    metric: Metric = "l2",
+    metric: str = "l2",
 ) -> PackingResult:
     """First-fit greedy packing over candidate points, in the given order.
 
@@ -320,7 +312,7 @@ def packing_to_csv(packing: PackingResult, path) -> None:
         for point in packing.points:
             writer.writerow([repr(float(v)) for v in point])
     sidecar = {
-        "metric": packing.metric if isinstance(packing.metric, str) else list(packing.metric),
+        "metric": packing.metric,
         "delta": packing.delta,
         "cardinality": packing.cardinality,
         "min_distance": packing.min_pairwise_distance,

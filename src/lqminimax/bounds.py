@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DimensionError, ParameterError, require_finite
+from .errors import ParameterError, require_finite, require_rows
 from .supports import support_chunks
 
 __all__ = [
@@ -256,8 +256,7 @@ def sup_correlation_exact(X: np.ndarray, w: np.ndarray, s: int, r: float) -> flo
     """
     X = np.asarray(X, dtype=float)
     w = np.asarray(w, dtype=float)
-    if w.shape != (X.shape[0],):
-        raise DimensionError(f"w has shape {w.shape}, expected ({X.shape[0]},)")
+    require_rows(X, w=w)
     if s < 1 or r < 0:
         raise ParameterError("need s >= 1 and r >= 0")
     require_finite(X=X, w=w)
@@ -276,9 +275,8 @@ def sup_correlation_pred_exact(X: np.ndarray, w: np.ndarray, s: int, r: float) -
     """
     X = np.asarray(X, dtype=float)
     w = np.asarray(w, dtype=float)
+    require_rows(X, w=w)
     n, d = X.shape
-    if w.shape != (n,):
-        raise DimensionError(f"w has shape {w.shape}, expected ({n},)")
     if s < 1 or r < 0:
         raise ParameterError("need s >= 1 and r >= 0")
     require_finite(X=X, w=w)

@@ -15,7 +15,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import ballgeom, bounds, conditions, harness, linmodel
-from .errors import DimensionError, ParameterError
+from .errors import ParameterError
 from .estimators import check_basic_inequality
 
 
@@ -31,8 +31,6 @@ def _emit(doc: dict) -> None:
 
 def _cmd_simulate(args) -> int:
     """One trial's instance, built as the harness builds it from the trial seed --seed."""
-    if args.design == "identity_sequence" and args.d != args.n:
-        raise DimensionError(f"identity_sequence requires n == d, got n={args.n}, d={args.d}")
     ball = linmodel.BallSpec(q=args.q, radius=args.radius)
     # the config only builds the instance here, but it must name a known
     # estimator kind, so "none" stands in as l1, which is never run

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the finite-input check that raises one."""
+"""Exception types shared across the package, and the input checks that raise them."""
 
 import numpy as np
 
@@ -37,3 +37,13 @@ def require_finite(**arrays) -> None:
         a = np.asarray(a)
         if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
             raise ParameterError(f"{name} has non-finite entries")
+
+
+def require_rows(X: np.ndarray, **vectors) -> None:
+    """Raise DimensionError unless X is 2-D and each named vector has shape (n,),
+    n being the number of rows of X."""
+    if X.ndim != 2:
+        raise DimensionError(f"X must be 2-D, got shape {X.shape}")
+    for name, v in vectors.items():
+        if v.shape != (X.shape[0],):
+            raise DimensionError(f"{name} has shape {v.shape}, expected ({X.shape[0]},)")

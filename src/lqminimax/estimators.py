@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .ballgeom import ball_contains, project_l1, project_lq_heuristic
-from .errors import DimensionError, ParameterError, require_finite
+from .errors import ParameterError, require_finite, require_rows
 from .linmodel import BallSpec, ProblemInstance
 from .supports import check_budget, support_chunks
 
@@ -169,19 +169,23 @@ def l0_least_squares(X: np.ndarray, y: np.ndarray, s: int) -> EstimateResult:
     factor, prefix pivots included, is not both finite and above 1e-12
     times its column's diagonal Gram entry (zero or duplicated columns), or
     when its residual falls below -1e-8 max(y^T y, 1) (cancellation);
-    info["lstsq_supports"] counts them.  Ties go to the lexicographically
-    smallest support.  The winner is refitted by lstsq with a 1e-12
-    relative cutoff, and by ``_unit_lstsq`` if that cutoff drops a
-    direction: the scores, like ``_unit_lstsq``, do not depend on column
-    scale.  Scalar multiples of the identity take an exact top-s shortcut
-    instead, which makes sequence-model sizes feasible.  Non-finite entries
-    in X or y raise ParameterError.
+    info["lstsq_supports"] counts them.  Supports whose residuals come out
+    equal go to the lexicographically smallest; that settles a tie only when
+    the tied residuals are computed through identical arithmetic, as for
+    exactly duplicated columns.  A column and a scaled copy of it (-3x,
+    1e-3x) tie only mathematically, and round-off orders those supports.
+    The winner is refitted by lstsq with a 1e-12 relative cutoff, and by
+    ``_unit_lstsq`` if that cutoff drops a direction: the scores, like
+    ``_unit_lstsq``, do not depend on column scale.  Scalar multiples of
+    the identity take an exact top-s shortcut instead, which makes
+    sequence-model sizes feasible.  Non-finite entries in X or y raise
+    ParameterError; an X that is not 2-D or a y not of shape (n,) raises
+    DimensionError.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
+    require_rows(X, y=y)
     n, d = X.shape
-    if y.shape != (n,):
-        raise DimensionError(f"y has shape {y.shape}, expected ({n},)")
     if not 1 <= s <= d:
         raise ParameterError(f"need 1 <= s <= d, got s={s}, d={d}")
     require_finite(y=y)
@@ -317,6 +321,7 @@ def l1_constrained_ls(
     y = np.asarray(y, dtype=float)
     if r1 <= 0:
         raise ParameterError(f"r1 must be positive, got {r1}")
+    require_rows(X, y=y)
     require_finite(X=X, y=y)
     lip, lip_steps = _lipschitz(X)
     beta = np.zeros(X.shape[1])
@@ -384,6 +389,7 @@ def lq_constrained_ls(
         raise ParameterError("need at least one start")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
+    require_rows(X, y=y)
     require_finite(X=X, y=y)
     lip, lip_steps = _lipschitz(X)
     step = 1.0 / lip if lip > 0 else 1.0
@@ -455,6 +461,7 @@ def lasso(
     y = np.asarray(y, dtype=float)
     if lam < 0:
         raise ParameterError(f"lambda must be nonnegative, got {lam}")
+    require_rows(X, y=y)
     require_finite(X=X, y=y)
     n, d = X.shape
     col_sq = np.einsum("ij,ij->j", X, X) / n

@@ -43,7 +43,6 @@ from .linmodel import (
     generate_design,
     generate_sparse_beta,
     loss,
-    sequence_model_instance,
     simulate,
 )
 
@@ -75,8 +74,10 @@ TRIM_FRACTION = 0.02  # trimmed-mean risk estimate; raw means are kept too
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One risk sweep.  For ``design_kind="identity_sequence"`` (the sequence
-    model, d = n) ``sigma`` is tau: the noise level is tau / sqrt(n)."""
+    """One risk sweep; ``sigma`` is the noise level of y = X b + w.
+
+    ``design_kind="identity_sequence"`` is the sequence model: d = n and
+    X = sqrt(n) I, so ``sigma`` is its tau."""
 
     ball: BallSpec
     sigma: float
@@ -203,12 +204,6 @@ class ExperimentRun:
     config_hash: str
     seed_root: int
 
-    def __iter__(self):
-        return iter(self.records)
-
-    def __len__(self):
-        return len(self.records)
-
 
 # ---------------------------------------------------------------------------
 # running trials
@@ -248,9 +243,6 @@ def _run_estimator(est: dict, inst: ProblemInstance) -> EstimateResult:
 def _make_instance(config: ExperimentConfig, n: int, d: int, seed: int) -> ProblemInstance:
     """The instance of one trial: design, truth and noise from streams of ``seed``."""
     magnitude = _MAGNITUDE_RULES[config.beta_magnitude_rule](config, n, d)
-    if config.design_kind == "identity_sequence":
-        return sequence_model_instance(n, config.sigma, config.ball, seed=seed,
-                                       pattern=config.beta_pattern, magnitude=magnitude)
     cov = None if config.sigma_cov is None else np.array(config.sigma_cov, float)
     X = generate_design(DesignSpec(kind=config.design_kind, n=n, d=d,
                                    seed=derive_seed(seed, 1), sigma_cov=cov))
@@ -494,7 +486,8 @@ def corollary1_experiment(
     constant large spikes the risk decays parametrically at 1/n and the
     log-factor the theory predicts would be invisible.  Only the certified
     q = 0 and q = 1 estimators are allowed.  Runs as an ``identity_sequence``
-    config through ``run_risk_experiment`` and ``fit_rate_slope``.
+    config (X = sqrt(n) I, ``sigma=tau``) through ``run_risk_experiment`` and
+    ``fit_rate_slope``.
     """
     if ball.q not in (0.0, 1.0):
         raise ParameterError("only the certified q = 0 and q = 1 estimators run here")

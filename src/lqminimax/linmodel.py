@@ -29,7 +29,6 @@ __all__ = [
     "generate_design",
     "generate_sparse_beta",
     "simulate",
-    "sequence_model_instance",
     "loss",
     "instance_to_json",
     "instance_from_json",
@@ -84,7 +83,9 @@ class DesignSpec:
     """Recipe for a design matrix.
 
     kind is one of ``standard_gaussian``, ``correlated_gaussian`` (rows i.i.d.
-    N(0, Sigma)), or ``identity_sequence`` (requires n == d).
+    N(0, Sigma)), or ``identity_sequence`` (sqrt(n) I, requires n == d): with
+    noise level tau, y / sqrt(n) = b + (tau / sqrt(n)) z is the normal
+    sequence model.
     """
 
     kind: str
@@ -221,12 +222,14 @@ def generate_design(spec: DesignSpec) -> np.ndarray:
 
     standard_gaussian gives i.i.d. N(0, 1) entries; correlated_gaussian gives
     rows i.i.d. N(0, Sigma), realized as W @ Sigma^{1/2} with W standard
-    normal; identity_sequence gives the identity.  Deterministic given the
-    spec's seed.
+    normal; identity_sequence gives sqrt(n) I, whose columns have norm
+    sqrt(n) like a Gaussian design's, so kappa_c = kappa_l = kappa_u = 1.
+    Deterministic given the spec's seed.
     """
-    rng, _ = split_streams(spec.seed)
     if spec.kind == "identity_sequence":
-        return np.eye(spec.n)
+        # one n^2 pass; eye followed by a scale would make two
+        return np.diag(np.full(spec.n, math.sqrt(spec.n)))
+    rng, _ = split_streams(spec.seed)
     if spec.kind == "standard_gaussian":
         return rng.standard_normal((spec.n, spec.d))
     # correlated_gaussian
@@ -311,24 +314,6 @@ def simulate(
     y = X @ beta_star + w
     return ProblemInstance(X=X, beta_star=beta_star, sigma=float(sigma), y=y,
                            seed=int(seed), ball=ball)
-
-
-def sequence_model_instance(
-    n: int,
-    tau: float,
-    ball: BallSpec,
-    seed: int = 0,
-    pattern: str = "random_support",
-    magnitude: float = 1.0,
-) -> ProblemInstance:
-    """Normal sequence model: d = n, X = identity, noise variance tau^2 / n."""
-    if n < 1:
-        raise DimensionError(f"need n >= 1, got {n}")
-    if tau <= 0:
-        raise ParameterError(f"tau must be positive, got {tau}")
-    beta = generate_sparse_beta(ball, n, pattern=pattern, magnitude=magnitude, seed=seed)
-    sigma = tau / np.sqrt(n)
-    return simulate(np.eye(n), beta, sigma, seed=seed, ball=ball)
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,11 @@ class TestGreedyPack:
         p = greedy_pack([rng.standard_normal(3) for _ in range(200)], delta=1.2)
         assert p.verify() >= 1.2
 
+    @pytest.mark.parametrize("metric", ["l1", ("lp", 3.0)])
+    def test_unknown_metric_rejected(self, metric):
+        with pytest.raises(ParameterError, match="unknown metric"):
+            greedy_pack(np.eye(3), delta=0.5, metric=metric)
+
 
 class TestPackingExport:
     def test_csv_and_sidecar(self, tmp_path):

@@ -17,7 +17,7 @@ from lqminimax.bounds import (
     sup_correlation_exact,
     sup_correlation_pred_exact,
 )
-from lqminimax.errors import ParameterError
+from lqminimax.errors import DimensionError, ParameterError
 
 
 class TestMinimaxRate:
@@ -156,17 +156,23 @@ class TestMinimaxRate:
         assert len(ratios) == 1
 
     def test_cor1_matches_t1a_t2a_substitution(self):
-        # sequence model: d = n, sigma^2 = tau^2/n, X = I so each kappa is
-        # 1/sqrt(n); the ratios to the Cor1 value are then n-independent
+        # sequence model: d = n, X = sqrt(n) I and sigma = tau, so each kappa
+        # is 1; the ratios to the Cor1 value are then n-independent.  The
+        # rescaled view X = I, sigma = tau / sqrt(n), kappas 1 / sqrt(n) gives
+        # the same rates.
         for tau in (0.5, 1.0, 2.0):
             upper_ratios, lower_ratios = [], []
             for n in (64, 256, 1024):
-                kap = 1.0 / math.sqrt(n)
-                seq = dict(n=n, d=float(n), q=0.5, radius=1.0,
-                           sigma=tau / math.sqrt(n))
-                t2a = minimax_rate(RateQuery("T2a", kappa_c=kap, kappa_l=kap, **seq))
-                t1a = minimax_rate(RateQuery("T1a", kappa_c=kap,
+                seq = dict(n=n, d=float(n), q=0.5, radius=1.0, sigma=tau)
+                t2a = minimax_rate(RateQuery("T2a", kappa_c=1.0, kappa_l=1.0, **seq))
+                t1a = minimax_rate(RateQuery("T1a", kappa_c=1.0,
                                              constants={"c": 1.0}, **seq))
+                kap = 1.0 / math.sqrt(n)
+                unit = dict(seq, sigma=tau * kap)
+                assert minimax_rate(RateQuery("T2a", kappa_c=kap, kappa_l=kap, **unit)) == \
+                    pytest.approx(t2a, rel=1e-12)
+                assert minimax_rate(RateQuery("T1a", kappa_c=kap, constants={"c": 1.0},
+                                              **unit)) == pytest.approx(t1a, rel=1e-12)
                 cor = minimax_rate(RateQuery("Cor1", n=n, q=0.5, radius=1.0,
                                              sigma=tau, constants={"c": 1.0}))
                 upper_ratios.append(t2a / cor)
@@ -348,6 +354,14 @@ class TestSupCorrelationPred:
             for _ in range(200)
         )
         assert exceed == 0
+
+
+@pytest.mark.parametrize("X_shape, w_shape", [((6, 4), (6, 1)), ((6, 4), (5,)), ((6,), (6,))])
+@pytest.mark.parametrize("sup", [sup_correlation_exact, sup_correlation_pred_exact])
+def test_sup_correlation_misshaped_input_rejected(sup, X_shape, w_shape):
+    X = np.random.default_rng(11).standard_normal(X_shape)
+    with pytest.raises(DimensionError, match="X must be 2-D|w has shape"):
+        sup(X, np.ones(w_shape), s=1, r=1.0)
 
 
 class TestLogBinomial:

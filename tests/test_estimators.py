@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lqminimax import supports
-from lqminimax.errors import EnumerationBudgetError, ParameterError
+from lqminimax.errors import DimensionError, EnumerationBudgetError, ParameterError
 from lqminimax.estimators import (
     _lipschitz,
     check_basic_inequality,
@@ -256,7 +256,7 @@ class TestL0:
 _SOLVERS = {
     "l0": lambda X, y: l0_least_squares(X, y, s=2),
     "l1": lambda X, y: l1_constrained_ls(X, y, 1.0),
-    "lq": lambda X, y: lq_constrained_ls(X, y, BallSpec(0.5, 1.0), [np.zeros(X.shape[1])]),
+    "lq": lambda X, y: lq_constrained_ls(X, y, BallSpec(0.5, 1.0), [np.zeros(X.shape[-1])]),
     "lasso": lambda X, y: lasso(X, y, 0.1),
 }
 
@@ -270,6 +270,14 @@ def test_nonfinite_input_rejected(solver, bad, where):
     (X if where == "X" else y)[2] = bad
     with pytest.raises(ParameterError, match="non-finite|not finite"):
         _SOLVERS[solver](X, y)
+
+
+@pytest.mark.parametrize("X_shape, y_shape", [((6, 4), (6, 1)), ((6, 4), (5,)), ((6,), (6,))])
+@pytest.mark.parametrize("solver", sorted(_SOLVERS))
+def test_misshaped_input_rejected(solver, X_shape, y_shape):
+    X = np.random.default_rng(8).standard_normal(X_shape)
+    with pytest.raises(DimensionError, match="X must be 2-D|y has shape"):
+        _SOLVERS[solver](X, np.ones(y_shape))
 
 
 class TestL1Constrained:

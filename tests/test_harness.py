@@ -35,7 +35,6 @@ from lqminimax.linmodel import (
     derive_seed,
     generate_design,
     generate_sparse_beta,
-    sequence_model_instance,
     simulate,
 )
 
@@ -141,7 +140,7 @@ class TestRunRiskExperiment:
         cfg = _tiny_config()
         run1 = run_risk_experiment(cfg)
         run2 = run_risk_experiment(cfg)
-        assert len(run1) == 9
+        assert len(run1.records) == 9
         for a, b in zip(run1.records, run2.records):
             assert a.losses == b.losses  # bit-identical
             assert a.seed == b.seed
@@ -287,28 +286,36 @@ class TestSequenceModelConfig:
         base.update(overrides)
         return ExperimentConfig(**base)
 
-    def test_record_reproduces_sequence_model_instance(self, monkeypatch):
-        seen = []
+    def test_record_reproduces_generic_pipeline(self, monkeypatch):
+        seen, methods = [], []
         real = harness._run_estimator
 
         def spy(est, inst):
             seen.append(inst)
-            return real(est, inst)
+            result = real(est, inst)
+            methods.append(result.info["method"])
+            return result
 
         monkeypatch.setattr(harness, "_run_estimator", spy)
-        config = self._config()
+        config = self._config(losses=(LossSpec.l2(), LossSpec.prediction()))
         records = run_risk_experiment(config).records
         assert len(seen) == len(records) == 6
+        assert set(methods) == {"l0_identity"}  # the scalar-identity shortcut
         for rec, inst in zip(records, seen):
             n = rec.n
             assert rec.d == inst.d == n
-            ref = sequence_model_instance(n, 1.5, config.ball, seed=rec.seed,
-                                          magnitude=1.5 * math.sqrt(2.0 * math.log(n) / n))
-            assert np.array_equal(inst.X, np.eye(n))
+            X = generate_design(DesignSpec("identity_sequence", n, n,
+                                           seed=derive_seed(rec.seed, 1)))
+            beta = generate_sparse_beta(config.ball, n, seed=derive_seed(rec.seed, 2),
+                                        magnitude=1.5 * math.sqrt(2.0 * math.log(n) / n))
+            ref = simulate(X, beta, 1.5, seed=rec.seed, ball=config.ball)
+            assert np.array_equal(inst.X, math.sqrt(n) * np.eye(n))
             assert np.array_equal(inst.beta_star, ref.beta_star)
             assert np.count_nonzero(inst.beta_star) == 2
             assert np.array_equal(inst.y, ref.y)
-            assert inst.sigma == ref.sigma == pytest.approx(1.5 / math.sqrt(n), rel=1e-15)
+            assert inst.sigma == config.sigma == 1.5
+            # ||sqrt(n) delta||^2 / n: the prediction loss is the l2 loss
+            assert rec.losses["pred"] == pytest.approx(rec.losses["l2"], rel=1e-12)
 
     def test_objective_ok_and_wall_ms_are_measured(self, monkeypatch):
         calls = []
@@ -324,7 +331,7 @@ class TestSequenceModelConfig:
         assert len(calls) == len(records) == 6
         assert all(rec.objective_ok is False for rec in records)
         assert all(rec.wall_ms > 0.0 for rec in records)
-        assert calls[0] == ((16, 16), pytest.approx(1.5 / 4.0))
+        assert calls[0] == ((16, 16), 1.5)
 
     def test_fixed_dimension_rejected(self):
         with pytest.raises(ParameterError, match="identity_sequence"):
@@ -533,11 +540,14 @@ class TestCli:
                          "--d", "400", "--sigma", "1", "--out", str(out)])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["sigma"] == 1.0 / math.sqrt(400)
+        assert doc["sigma"] == 1.0
         saved = json.loads(out.read_text())
-        ref = sequence_model_instance(400, 1.0, BallSpec(0.0, 1), seed=0)
+        X = generate_design(DesignSpec("identity_sequence", 400, 400, seed=derive_seed(0, 1)))
+        beta = generate_sparse_beta(BallSpec(0.0, 1), 400, seed=derive_seed(0, 2))
+        ref = simulate(X, beta, 1.0, seed=0)
+        assert np.array_equal(saved["X"], (20.0 * np.eye(400)).ravel())
         assert np.array_equal(saved["y"], ref.y)
-        assert np.std(ref.noise()) == pytest.approx(0.05, rel=0.1)
+        assert np.std(ref.noise()) == pytest.approx(1.0, rel=0.1)
         with pytest.raises(DimensionError, match="n == d"):
             cli_main(["simulate", "--design", "identity_sequence", "--n", "40", "--d", "30"])
 

@@ -20,8 +20,8 @@ from lqminimax.linmodel import (
     instance_to_csv,
     instance_to_json,
     loss,
-    sequence_model_instance,
     simulate,
+    split_streams,
 )
 
 
@@ -43,8 +43,9 @@ class TestBallSpec:
 
 class TestGenerateDesign:
     def test_identity_sequence(self):
+        # sqrt(n) I: unit column norm constant, as for the Gaussian ensembles
         spec = DesignSpec("identity_sequence", n=3, d=3, seed=0)
-        assert np.array_equal(generate_design(spec), np.eye(3))
+        assert np.array_equal(generate_design(spec), math.sqrt(3) * np.eye(3))
 
     def test_identity_requires_square(self):
         with pytest.raises(DimensionError):
@@ -137,15 +138,24 @@ class TestSimulate:
             simulate(np.eye(2), np.ones(3), 1.0)
 
 
+def _sequence_instance(n, tau, ball, seed=0):
+    """The sequence model as the harness builds it: sqrt(n) I, noise level tau."""
+    X = generate_design(DesignSpec("identity_sequence", n, n, seed=seed))
+    return simulate(X, generate_sparse_beta(ball, n, seed=seed), tau, seed=seed, ball=ball)
+
+
 class TestSequenceModel:
-    def test_sigma_squared_is_tau_sq_over_n(self):
-        inst = sequence_model_instance(4, 2.0, BallSpec(0.0, 1), seed=0)
-        assert inst.sigma**2 == pytest.approx(1.0)
-        assert np.array_equal(inst.X, np.eye(4))
+    def test_sigma_is_tau_on_sqrt_n_identity(self):
+        inst = _sequence_instance(4, 2.0, BallSpec(0.0, 1))
+        assert inst.sigma == 2.0
+        assert np.array_equal(inst.X, 2.0 * np.eye(4))
+        # y = sqrt(n) b + tau z
+        z = split_streams(0)[1].standard_normal(4)
+        assert np.allclose(inst.noise(), 2.0 * z, rtol=0, atol=1e-14)
 
     def test_degenerate_size(self):
-        inst = sequence_model_instance(1, 3.0, BallSpec(0.0, 1), seed=0)
-        assert inst.sigma**2 == pytest.approx(9.0)
+        inst = _sequence_instance(1, 3.0, BallSpec(0.0, 1))
+        assert inst.sigma == 3.0
         assert np.array_equal(inst.X, [[1.0]])
 
 
@@ -194,7 +204,7 @@ class TestLoss:
 
 class TestSerialization:
     def test_json_round_trip(self):
-        inst = sequence_model_instance(5, 1.0, BallSpec(0.0, 2), seed=3)
+        inst = _sequence_instance(5, 1.0, BallSpec(0.0, 2), seed=3)
         back = instance_from_json(instance_to_json(inst))
         assert np.array_equal(back.X, inst.X)
         assert np.array_equal(back.y, inst.y)
@@ -203,13 +213,13 @@ class TestSerialization:
         assert back.sigma == inst.sigma
 
     def test_json_schema_keys(self):
-        inst = sequence_model_instance(3, 1.0, BallSpec(1.0, 2.0), seed=0)
+        inst = _sequence_instance(3, 1.0, BallSpec(1.0, 2.0))
         doc = json.loads(instance_to_json(inst))
         assert set(doc) == {"n", "d", "q", "radius", "sigma", "seed", "X", "beta_star", "y"}
         assert len(doc["X"]) == 9  # row-major flattening
 
     def test_csv_export(self, tmp_path):
-        inst = sequence_model_instance(3, 1.0, BallSpec(0.0, 1), seed=0)
+        inst = _sequence_instance(3, 1.0, BallSpec(0.0, 1))
         path = tmp_path / "inst.csv"
         instance_to_csv(inst, path)
         lines = path.read_text().strip().splitlines()
