@@ -156,29 +156,20 @@ def truncation_inequality(theta: np.ndarray, rq: float, q: float, tau: float) ->
 # packings
 # ---------------------------------------------------------------------------
 
-def _pairwise_distances(points: np.ndarray, metric: str) -> np.ndarray:
-    """Condensed vector of all pairwise distances."""
-    pts = np.asarray(points, dtype=float)
-    if metric == "l2":
-        return pdist(pts, "euclidean")
-    if metric == "hamming":
-        return pdist(pts, "hamming") * pts.shape[1]
-    raise ParameterError(f"unknown metric {metric!r}")
-
-
-def _point_distances(points: np.ndarray, z: np.ndarray, metric: str) -> np.ndarray:
-    """Distances from each row of ``points`` to the single point ``z``."""
-    if metric == "hamming":
-        return np.count_nonzero(points != z, axis=1)
-    if metric == "l2":
-        return np.linalg.norm(points - z, axis=1)
-    raise ParameterError(f"unknown metric {metric!r}")
+# packing metric -> (condensed vector of all pairwise distances of the rows of
+# points, distances from each row of points to the single point z)
+_METRICS = {
+    "l2": (lambda points: pdist(points, "euclidean"),
+           lambda points, z: np.linalg.norm(points - z, axis=1)),
+    "hamming": (lambda points: pdist(points, "hamming") * points.shape[1],
+                lambda points, z: np.count_nonzero(points != z, axis=1)),
+}
 
 
 def _exact_min_distance(points: np.ndarray, metric: str) -> float:
     if points.shape[0] < 2:
         return math.inf
-    return float(_pairwise_distances(points, metric).min())
+    return float(_METRICS[metric][0](np.asarray(points, dtype=float)).min())
 
 
 @dataclass
@@ -286,6 +277,9 @@ def greedy_pack(
     """
     if delta <= 0:
         raise ParameterError(f"delta must be positive, got {delta}")
+    if metric not in _METRICS:
+        raise ParameterError(f"unknown metric {metric!r} (known: {', '.join(_METRICS)})")
+    distances = _METRICS[metric][1]
     cands = np.asarray(candidates if isinstance(candidates, np.ndarray)
                        else list(candidates))
     if not cands.size:
@@ -295,7 +289,7 @@ def greedy_pack(
     chosen = np.empty_like(cands)
     m = 0
     for z in cands:
-        if m == 0 or _point_distances(chosen[:m], z, metric).min() >= delta:
+        if m == 0 or distances(chosen[:m], z).min() >= delta:
             chosen[m] = z
             m += 1
     points = chosen[:m].astype(float)

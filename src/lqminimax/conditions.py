@@ -6,8 +6,9 @@ eigenvalue over the comparison cone, triviality of the kernel on sparse
 vectors, kernel diameter inside an lq-ball, and a Monte Carlo check of the
 two-sided curvature bounds for correlated Gaussian row ensembles.
 
-Exact minimization over the cone is nonconvex; anything sampled is tagged as
-an upper estimate and never presented as a certificate.
+Exact minimization over the cone is nonconvex: only a zero certified by a kernel
+direction and the s >= d value are exact restricted eigenvalues; every other
+value, a nonzero ``exact_tiny`` one included, is an upper estimate.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from scipy.linalg import null_space
 
 from .errors import ConsistencyError, DimensionError, ParameterError, require_finite
-from .linmodel import BallSpec, DesignSpec, symmetric_sqrt
+from .linmodel import BallSpec, DesignSpec
 from .supports import support_chunks
 
 __all__ = [
@@ -220,7 +221,8 @@ def re_constant(
     ``exact_tiny`` (d <= 12) additionally certifies zero through kernel
     directions lying in the cone and polishes the best candidate by local
     perturbation with a decaying radius.  The polish is a local search, so
-    its estimates lie below the sampled ones but need not fall with c0.
+    its estimates lie below the sampled ones but need not fall with c0; a
+    nonzero one is still an upper estimate.
     """
     if mode not in ("sampled", "exact_tiny"):
         raise ParameterError(f"unknown mode {mode!r}")
@@ -350,11 +352,10 @@ class Prop1Report:
     upper_margin_min: float
 
 
-def _margins(X: np.ndarray, root: np.ndarray, sigma_cov: np.ndarray,
+def _margins(X: np.ndarray, root: np.ndarray, rho: float,
              V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper curvature margins (see ``prop1_margins``) at each row of V."""
+    """Curvature margins (see ``prop1_margins``) at each row of V; rho = max_j Sigma_jj."""
     n, d = X.shape
-    rho = float(np.max(np.diag(sigma_cov)))
     coef = 6.0 * math.sqrt(rho * math.log(d) / n)
     xv = np.linalg.norm(X @ V.T, axis=0) / math.sqrt(n)
     sv = np.linalg.norm(root @ V.T, axis=0)
@@ -370,8 +371,9 @@ def prop1_margins(X: np.ndarray, sigma_cov: np.ndarray, v: np.ndarray) -> tuple[
     Nonnegative margins mean the bounds hold.
     """
     X, sigma_cov, v = (np.asarray(a, dtype=float) for a in (X, sigma_cov, v))
-    require_finite(X=X, sigma_cov=sigma_cov, v=v)
-    low, up = _margins(X, symmetric_sqrt(sigma_cov), sigma_cov, v[None])
+    require_finite(X=X, v=v)
+    spec = DesignSpec("correlated_gaussian", *X.shape, sigma_cov=sigma_cov)
+    low, up = _margins(X, spec.root, float(np.max(np.diag(sigma_cov))), v[None])
     return float(low[0]), float(up[0])
 
 
@@ -386,14 +388,11 @@ def verify_prop1(
     Draws fresh designs and random directions (dense Gaussian, sparse, and
     coordinate vectors) and counts violations of either bound.
     """
-    if spec.kind == "standard_gaussian":
-        sigma_cov = np.eye(spec.d)
-    elif spec.kind == "correlated_gaussian":
-        sigma_cov = np.asarray(spec.sigma_cov, dtype=float)
-    else:
+    if spec.kind == "identity_sequence":
         raise ParameterError("verify_prop1 needs a Gaussian row ensemble")
     n, d = spec.n, spec.d
-    root = symmetric_sqrt(sigma_cov)
+    root = np.eye(d) if spec.root is None else spec.root
+    rho = 1.0 if spec.root is None else float(np.max(np.diag(spec.sigma_cov)))
 
     rng = np.random.default_rng(seed)
     lower_viol = upper_viol = checks = 0
@@ -401,7 +400,7 @@ def verify_prop1(
     for _ in range(n_draws):
         X = rng.standard_normal((n, d)) @ root
         dirs = _direction_batch(rng, d, n_directions)
-        low, up = _margins(X, root, sigma_cov, dirs)
+        low, up = _margins(X, root, rho, dirs)
         lower_viol += int(np.count_nonzero(low < -1e-12))
         upper_viol += int(np.count_nonzero(up < -1e-12))
         checks += len(dirs)

@@ -116,6 +116,12 @@ class ExperimentConfig:
                    if value not in known]
         if unknown:
             raise ParameterError("unknown " + "; ".join(unknown))
+        if not 0.0 <= self.sigma < math.inf:
+            raise ParameterError(f"sigma must be finite and nonnegative, got {self.sigma}")
+        scale = _MAGNITUDE_RULES[self.beta_magnitude_rule][0]
+        if not 0.0 < getattr(self, scale) < math.inf:
+            raise ParameterError(f"{scale} must be finite and positive under beta_magnitude_rule "
+                                 f"{self.beta_magnitude_rule!r}, got {getattr(self, scale)}")
         if (self.design_kind == "identity_sequence"
                 and tuple(self.d_rule) != ("proportional", 1.0)):
             raise ParameterError(
@@ -228,10 +234,10 @@ _ESTIMATORS = {
     "lasso": lambda est, inst: lasso(inst.X, inst.y, float(est["lam"]), **_solver_options(est)),
 }
 
-# beta_magnitude_rule -> magnitude of the truth's entries in cell (n, d)
+# beta_magnitude_rule -> (config field that scales the truth, its factor in cell (n, d))
 _MAGNITUDE_RULES = {
-    "constant": lambda config, n, d: config.beta_magnitude,
-    "threshold_logd": lambda config, n, d: config.sigma * math.sqrt(2.0 * math.log(d) / n),
+    "constant": ("beta_magnitude", lambda n, d: 1.0),
+    "threshold_logd": ("sigma", lambda n, d: math.sqrt(2.0 * math.log(d) / n)),
 }
 
 
@@ -242,10 +248,10 @@ def _run_estimator(est: dict, inst: ProblemInstance) -> EstimateResult:
 
 def _make_instance(config: ExperimentConfig, n: int, d: int, seed: int) -> ProblemInstance:
     """The instance of one trial: design, truth and noise from streams of ``seed``."""
-    magnitude = _MAGNITUDE_RULES[config.beta_magnitude_rule](config, n, d)
-    cov = None if config.sigma_cov is None else np.array(config.sigma_cov, float)
+    scale, factor = _MAGNITUDE_RULES[config.beta_magnitude_rule]
+    magnitude = getattr(config, scale) * factor(n, d)
     X = generate_design(DesignSpec(kind=config.design_kind, n=n, d=d,
-                                   seed=derive_seed(seed, 1), sigma_cov=cov))
+                                   seed=derive_seed(seed, 1), sigma_cov=config.sigma_cov))
     beta = generate_sparse_beta(config.ball, d, pattern=config.beta_pattern,
                                 magnitude=magnitude, seed=derive_seed(seed, 2))
     return simulate(X, beta, config.sigma, seed=seed, ball=config.ball)
@@ -493,6 +499,8 @@ def corollary1_experiment(
         raise ParameterError("only the certified q = 0 and q = 1 estimators run here")
     if len(n_grid) < 3:
         raise ParameterError(f"need at least 3 grid points, got {len(n_grid)}")
+    if not 0.0 < tau < math.inf:
+        raise ParameterError(f"tau (the config's sigma) must be finite and positive, got {tau}")
     if ball.q == 0.0:
         estimator = {"kind": "l0", "s": ball.s}
     else:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -85,7 +85,8 @@ class DesignSpec:
     kind is one of ``standard_gaussian``, ``correlated_gaussian`` (rows i.i.d.
     N(0, Sigma)), or ``identity_sequence`` (sqrt(n) I, requires n == d): with
     noise level tau, y / sqrt(n) = b + (tau / sqrt(n)) z is the normal
-    sequence model.
+    sequence model.  A correlated spec checks and factors Sigma once, at
+    construction, and holds the root Sigma^{1/2} (None for the other kinds).
     """
 
     kind: str
@@ -93,6 +94,7 @@ class DesignSpec:
     d: int
     seed: int = 0
     sigma_cov: Optional[np.ndarray] = None
+    root: Optional[np.ndarray] = field(default=None, init=False, compare=False, repr=False)
 
     _KINDS = ("standard_gaussian", "correlated_gaussian", "identity_sequence")
 
@@ -108,7 +110,10 @@ class DesignSpec:
         if self.kind == "correlated_gaussian":
             if self.sigma_cov is None:
                 raise ParameterError("correlated_gaussian requires a covariance")
-            _check_covariance(np.asarray(self.sigma_cov, dtype=float), self.d)
+            if np.shape(self.sigma_cov) != (self.d, self.d):
+                raise CovarianceError(f"covariance has shape {np.shape(self.sigma_cov)}, "
+                                      f"expected ({self.d}, {self.d})")
+            object.__setattr__(self, "root", symmetric_sqrt(self.sigma_cov))
 
 
 @dataclass(frozen=True)
@@ -193,27 +198,24 @@ def split_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
 # ---------------------------------------------------------------------------
 
 
-def _check_covariance(sigma_cov: np.ndarray, d: int) -> None:
-    if sigma_cov.shape != (d, d):
-        raise CovarianceError(f"covariance has shape {sigma_cov.shape}, expected ({d}, {d})")
-    if not np.allclose(sigma_cov, sigma_cov.T, atol=1e-10):
-        raise CovarianceError("covariance is not symmetric")
-    evals = np.linalg.eigvalsh(0.5 * (sigma_cov + sigma_cov.T))
-    if evals.min() < -1e-10 * max(evals.max(), 1.0):
-        raise CovarianceError(f"covariance has negative eigenvalue {evals.min():g}")
-
-
 def symmetric_sqrt(sigma_cov: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition.
+    """Symmetric PSD square root via eigendecomposition; the one covariance check.
 
+    Raises CovarianceError unless sigma_cov is a finite nonempty square matrix,
+    symmetric to atol 1e-10 and PSD up to -1e-10 max(lambda_max, 1).
     Eigenvalues below 1e-12 (relative to the largest) are clamped to zero.
     """
-    sigma_cov = 0.5 * (np.asarray(sigma_cov, dtype=float) + np.asarray(sigma_cov).T)
-    evals, evecs = np.linalg.eigh(sigma_cov)
-    cutoff = 1e-12 * max(evals.max(), 0.0)
+    sigma_cov = np.asarray(sigma_cov, dtype=float)
+    if sigma_cov.ndim != 2 or not 1 <= sigma_cov.shape[0] == sigma_cov.shape[1]:
+        raise CovarianceError(f"covariance has shape {sigma_cov.shape}, expected a square matrix")
+    if not np.isfinite(sigma_cov).all():
+        raise CovarianceError("covariance has non-finite entries")
+    if not np.allclose(sigma_cov, sigma_cov.T, atol=1e-10):
+        raise CovarianceError("covariance is not symmetric")
+    evals, evecs = np.linalg.eigh(0.5 * (sigma_cov + sigma_cov.T))
     if evals.min() < -1e-10 * max(evals.max(), 1.0):
         raise CovarianceError(f"covariance has negative eigenvalue {evals.min():g}")
-    evals = np.where(evals > cutoff, evals, 0.0)
+    evals = np.where(evals > 1e-12 * max(evals.max(), 0.0), evals, 0.0)
     return (evecs * np.sqrt(evals)) @ evecs.T
 
 
@@ -221,7 +223,7 @@ def generate_design(spec: DesignSpec) -> np.ndarray:
     """Draw the n x d design matrix described by ``spec``.
 
     standard_gaussian gives i.i.d. N(0, 1) entries; correlated_gaussian gives
-    rows i.i.d. N(0, Sigma), realized as W @ Sigma^{1/2} with W standard
+    rows i.i.d. N(0, Sigma), realized as W @ spec.root with W standard
     normal; identity_sequence gives sqrt(n) I, whose columns have norm
     sqrt(n) like a Gaussian design's, so kappa_c = kappa_l = kappa_u = 1.
     Deterministic given the spec's seed.
@@ -230,12 +232,8 @@ def generate_design(spec: DesignSpec) -> np.ndarray:
         # one n^2 pass; eye followed by a scale would make two
         return np.diag(np.full(spec.n, math.sqrt(spec.n)))
     rng, _ = split_streams(spec.seed)
-    if spec.kind == "standard_gaussian":
-        return rng.standard_normal((spec.n, spec.d))
-    # correlated_gaussian
-    root = symmetric_sqrt(np.asarray(spec.sigma_cov, dtype=float))
     w = rng.standard_normal((spec.n, spec.d))
-    return w @ root
+    return w if spec.root is None else w @ spec.root
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +305,8 @@ def simulate(
         raise DimensionError(
             f"shape mismatch: X {X.shape} vs beta_star {beta_star.shape}"
         )
-    if sigma < 0:
-        raise ParameterError(f"sigma must be nonnegative, got {sigma}")
+    if not 0.0 <= sigma < math.inf:
+        raise ParameterError(f"sigma must be finite and nonnegative, got {sigma}")
     _, noise_rng = split_streams(seed)
     w = sigma * noise_rng.standard_normal(X.shape[0])
     y = X @ beta_star + w

@@ -327,6 +327,14 @@ class TestGreedyPack:
         with pytest.raises(ParameterError, match="unknown metric"):
             greedy_pack(np.eye(3), delta=0.5, metric=metric)
 
+    @pytest.mark.parametrize("candidates", [np.zeros((0, 3)), np.ones((1, 3))],
+                             ids=["no_candidate", "one_candidate"])
+    def test_unknown_metric_rejected_without_a_comparison(self, candidates):
+        # the first-fit loop never measures a distance here, so only the
+        # check on entry can catch the metric
+        with pytest.raises(ParameterError, match="unknown metric 'l1'"):
+            greedy_pack(candidates, delta=0.5, metric="l1")
+
 
 class TestPackingExport:
     def test_csv_and_sidecar(self, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import null_space
 
 from lqminimax.conditions import (
+    Prop1Report,
     REParams,
     column_norm_constant,
     diagnose,
@@ -21,7 +22,7 @@ from lqminimax.conditions import (
     verify_prop1,
 )
 from lqminimax.bounds import sup_correlation_exact, sup_correlation_pred_exact
-from lqminimax.errors import ConsistencyError, ParameterError
+from lqminimax.errors import ConsistencyError, CovarianceError, ParameterError
 from lqminimax.linmodel import BallSpec, DesignSpec, generate_design, simulate
 from lqminimax.estimators import l0_least_squares
 
@@ -229,6 +230,51 @@ class TestProp1:
         spec = DesignSpec("identity_sequence", 5, 5)
         with pytest.raises(ParameterError):
             verify_prop1(spec)
+
+    def test_report_pinned(self):
+        # pinned bit for bit: reading spec.root, or eye(d) for a standard spec,
+        # must not change a digit of either margin
+        cov = np.array([[2.0, 0.6, 0.0, 0.1], [0.6, 1.0, 0.3, 0.0],
+                        [0.0, 0.3, 1.5, -0.2], [0.1, 0.0, -0.2, 0.8]])
+        spec = DesignSpec("correlated_gaussian", n=5, d=4, seed=20260808, sigma_cov=cov)
+        assert verify_prop1(spec, n_draws=2, n_directions=40, seed=7) == Prop1Report(
+            lower_violations=0, upper_violations=0, n_checks=80,
+            lower_margin_min=0.8091586480489378, upper_margin_min=1.1566735406063802)
+        spec = DesignSpec("standard_gaussian", n=30, d=12, seed=3)
+        assert verify_prop1(spec, n_draws=2, n_directions=40, seed=7) == Prop1Report(
+            lower_violations=0, upper_violations=0, n_checks=80,
+            lower_margin_min=0.4079399832178583, upper_margin_min=0.6996510657565937)
+
+    def test_one_eigendecomposition_per_spec(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            real = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        cov = np.diag([4.0, 1.0, 1.0]) + 0.2
+        spec = DesignSpec("correlated_gaussian", 20, 3, seed=0, sigma_cov=cov)
+        generate_design(spec)
+        verify_prop1(spec, n_draws=2, n_directions=20, seed=1)
+        assert calls == ["eigh"]
+        verify_prop1(DesignSpec("standard_gaussian", 20, 3), n_draws=2, n_directions=20)
+        assert calls == ["eigh"]
+
+    @pytest.mark.parametrize("cov, message", [
+        (np.eye(3), r"shape \(3, 3\), expected \(2, 2\)"),
+        (np.array([[1.0, 3.0], [0.0, 1.0]]), "not symmetric"),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), "non-finite"),
+    ], ids=["mis_shaped", "asymmetric", "non_finite"])
+    def test_margins_reject_an_invalid_covariance(self, cov, message):
+        # Sigma is checked as the row covariance of X before any matmul
+        with pytest.raises(CovarianceError, match=message):
+            prop1_margins(np.ones((4, 2)), cov, np.ones(2))
 
 
 class TestIdentConsistency:

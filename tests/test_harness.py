@@ -128,6 +128,23 @@ class TestConfig:
     def test_known_names_keep_their_hash(self, overrides, expected):
         assert config_hash(_tiny_config(**overrides)) == expected
 
+    @pytest.mark.parametrize("overrides, bad", [
+        ({"sigma": math.nan}, "sigma"),
+        ({"sigma": math.inf}, "sigma"),
+        ({"sigma": -0.5}, "sigma"),
+        ({"sigma": 0.0, "beta_magnitude_rule": "threshold_logd"}, "sigma"),
+        ({"beta_magnitude": 0.0}, "beta_magnitude"),
+        ({"beta_magnitude": -1.0}, "beta_magnitude"),
+        ({"beta_magnitude": math.nan}, "beta_magnitude"),
+    ])
+    def test_bad_noise_or_truth_magnitude_rejected(self, overrides, bad):
+        with pytest.raises(ParameterError, match=f"^{bad} must be"):
+            _tiny_config(**overrides)
+
+    def test_zero_sigma_allowed_under_constant_magnitude(self):
+        # noiseless y = X b, the truth scaled by beta_magnitude alone
+        assert _tiny_config(sigma=0.0).sigma == 0.0
+
     def test_missing_required_key_rejected(self):
         doc = _tiny_config().to_json_dict()
         del doc["sigma"]
@@ -273,6 +290,11 @@ class TestCorollary1:
     def test_q_between_rejected(self):
         with pytest.raises(ParameterError):
             corollary1_experiment((64, 128, 256), 1.0, BallSpec(0.5, 2.0))
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_tau_rejected_by_name(self, tau):
+        with pytest.raises(ParameterError, match="^tau "):
+            corollary1_experiment((64, 128, 256), tau, BallSpec(0.0, 2))
 
 
 class TestSequenceModelConfig:

@@ -22,7 +22,14 @@ from lqminimax.linmodel import (
     loss,
     simulate,
     split_streams,
+    symmetric_sqrt,
 )
+
+# a 4 x 4 covariance with unequal variances and correlations of both signs
+COV4 = np.array([[2.0, 0.6, 0.0, 0.1],
+                 [0.6, 1.0, 0.3, 0.0],
+                 [0.0, 0.3, 1.5, -0.2],
+                 [0.1, 0.0, -0.2, 0.8]])
 
 
 class TestBallSpec:
@@ -59,6 +66,65 @@ class TestGenerateDesign:
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         with pytest.raises(CovarianceError):
             DesignSpec("correlated_gaussian", n=5, d=2, sigma_cov=bad)
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), "non-finite"),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), "non-finite"),
+        (np.array([[1.0, 3.0], [0.0, 1.0]]), "not symmetric"),
+        (np.eye(3), r"shape \(3, 3\), expected \(2, 2\)"),
+    ], ids=["inf", "nan", "asymmetric", "mis_shaped"])
+    def test_invalid_covariance_rejected(self, bad, message):
+        # an inf entry must not pass as NaN eigenvalues clamped to 0 (an all-zero design)
+        with pytest.raises(CovarianceError, match=message):
+            DesignSpec("correlated_gaussian", n=3, d=2, sigma_cov=bad)
+
+    @pytest.mark.parametrize("bad", [np.ones(3), np.ones((2, 3)), np.zeros((0, 0))],
+                             ids=["vector", "rectangular", "empty"])
+    def test_symmetric_sqrt_needs_a_square_matrix(self, bad):
+        with pytest.raises(CovarianceError, match="expected a square matrix"):
+            symmetric_sqrt(bad)
+
+    def test_root_held_only_by_correlated_specs(self):
+        spec = DesignSpec("correlated_gaussian", n=5, d=4, seed=1, sigma_cov=COV4)
+        assert np.allclose(spec.root @ spec.root, COV4, atol=1e-12)
+        assert np.allclose(spec.root, spec.root.T, rtol=0.0, atol=1e-14)
+        assert DesignSpec("standard_gaussian", n=5, d=4).root is None
+        assert DesignSpec("identity_sequence", n=4, d=4).root is None
+        assert "root" not in repr(spec)
+
+    def test_equality_ignores_the_root(self):
+        # an ndarray field would make == raise on an elementwise comparison
+        a = DesignSpec("correlated_gaussian", n=5, d=4, seed=1, sigma_cov=COV4)
+        b = DesignSpec("correlated_gaussian", n=5, d=4, seed=1, sigma_cov=COV4)
+        assert a.root is not b.root
+        assert a == b
+        assert a != DesignSpec("correlated_gaussian", n=5, d=4, seed=2, sigma_cov=COV4)
+
+    @pytest.mark.parametrize("d", [6, 150, 400])
+    def test_exact_roots_of_identity_and_diagonal_covariances(self, d):
+        # the benchmark's identity and spiked covariances factor without round-off
+        assert np.array_equal(symmetric_sqrt(np.eye(d)), np.eye(d))
+        spiked = np.diag([4.0] + [1.0] * (d - 1))
+        assert np.array_equal(symmetric_sqrt(spiked), np.diag([2.0] + [1.0] * (d - 1)))
+
+    def test_correlated_design_pinned(self):
+        # pinned bit for bit: factoring Sigma once per spec must not change a
+        # digit (a different LAPACK may round the root differently)
+        spec = DesignSpec("correlated_gaussian", n=5, d=4, seed=20260808, sigma_cov=COV4)
+        assert generate_design(spec).tolist() == [
+            [-0.15821140172721232, 0.08034514162747376, -1.7179132028188753, 0.9096584083809554],
+            [-0.5251956274154889, -0.8251873876318685, -0.25166198415223895, 1.0132571024998422],
+            [-0.5306536511491052, 1.1990379712560133, 0.3171731592074511, -0.3063397019749022],
+            [-0.8511980085213511, -1.4869439739510273, -0.18365916879063793, 1.1956051122550395],
+            [-1.406464339447082, 0.8149640073523207, -0.1624916063772778, -0.7752968536224822],
+        ]
+
+    def test_standard_design_pinned(self):
+        spec = DesignSpec("standard_gaussian", n=2, d=3, seed=5)
+        assert generate_design(spec).tolist() == [
+            [-0.15761234320110798, 0.027401051761102527, 0.2714984624699337],
+            [-0.5118986506607516, 2.3629385632675204, 1.0249622052600185],
+        ]
 
     def test_standard_gaussian_column_norm_band(self):
         # spec band: max column norm / sqrt(n) in [0.7, 1 + sqrt(32 log d / n)]

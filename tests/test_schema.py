@@ -19,6 +19,8 @@ from lqminimax.linmodel import BallSpec, LossSpec
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-6, max_value=1e6)
+# admissible noise levels; threshold_logd scales the truth by sigma, so it needs sigma > 0
+noise_levels = st.floats(min_value=0.0, allow_infinity=False)
 
 balls = st.one_of(
     st.builds(BallSpec, st.just(0.0), st.integers(1, 10)),
@@ -50,14 +52,16 @@ def configs(draw):
         k = draw(st.integers(1, 3))
         sigma_cov = tuple(tuple(draw(finite) for _ in range(k)) for _ in range(k))
     n_grid = tuple(sorted(draw(st.sets(st.integers(1, 10**6), min_size=1, max_size=6))))
+    rule = draw(st.sampled_from(["constant", "threshold_logd"]))
+    sigma = draw(positive if rule == "threshold_logd" else noise_levels)
     return ExperimentConfig(
-        ball=draw(balls), sigma=draw(finite), n_grid=n_grid, estimator=draw(estimators),
+        ball=draw(balls), sigma=sigma, n_grid=n_grid, estimator=draw(estimators),
         d_rule=d_rule, design_kind=design_kind, sigma_cov=sigma_cov,
         trials_per_cell=draw(st.integers(1, 100)), losses=draw(losses),
         seed_root=draw(st.integers(0, 2**63)),
         beta_pattern=draw(st.sampled_from(["random_support", "first_coordinates"])),
         beta_magnitude=draw(positive),
-        beta_magnitude_rule=draw(st.sampled_from(["constant", "threshold_logd"])),
+        beta_magnitude_rule=rule,
         kappa_exponent=draw(finite), enforce_scaling=draw(st.booleans()),
     )
 
@@ -72,7 +76,7 @@ def test_config_json_round_trip(config):
 
 
 @settings(max_examples=50, deadline=None)
-@given(balls, finite, st.integers(1, 10**6), estimators)
+@given(balls, noise_levels, st.integers(1, 10**6), estimators)
 def test_required_keys_alone_give_the_defaults(ball, sigma, n, estimator):
     doc = {"ball": {"q": ball.q, "radius": ball.radius}, "sigma": sigma,
            "n_grid": [n], "estimator": estimator}
