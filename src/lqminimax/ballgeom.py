@@ -243,6 +243,8 @@ def rescale_hypercube_packing(packing: PackingResult, delta_n: float, s: int) ->
     check runs on the integer squared distances of the ternary points, so it
     is exact.
     """
+    if not 0.0 < delta_n < math.inf:
+        raise ParameterError(f"delta_n must be finite and positive, got {delta_n}")
     if packing.metric != "hamming":
         raise ParameterError("rescale expects a Hamming hypercube packing")
     pts = packing.points
@@ -275,8 +277,8 @@ def greedy_pack(
     fixed seed) before calling if order bias matters.  Hamming scans keep the
     candidates' dtype (they only compare entries); the points come out float.
     """
-    if delta <= 0:
-        raise ParameterError(f"delta must be positive, got {delta}")
+    if not 0.0 < delta < math.inf:
+        raise ParameterError(f"delta must be finite and positive, got {delta}")
     if metric not in _METRICS:
         raise ParameterError(f"unknown metric {metric!r} (known: {', '.join(_METRICS)})")
     distances = _METRICS[metric][1]

@@ -30,29 +30,25 @@ def _emit(doc: dict) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    """One trial's instance, built as the harness builds it from the trial seed --seed."""
+    """One trial's instance, drawn as the harness draws it from the trial seed --seed."""
     ball = linmodel.BallSpec(q=args.q, radius=args.radius)
-    # the config only builds the instance here, but it must name a known
-    # estimator kind, so "none" stands in as l1, which is never run
-    solve = args.estimator != "none"
-    estimator = {"kind": args.estimator if solve else "l1", "radius": args.radius,
-                 "lam": args.lam}
-    if args.estimator == "l0":
-        estimator["s"] = args.s or ball.s
-    d_rule = ("proportional", 1.0) if args.design == "identity_sequence" else ("fixed", args.d)
-    config = harness.ExperimentConfig(
-        ball=ball, sigma=args.sigma, n_grid=(args.n,), estimator=estimator, d_rule=d_rule,
-        design_kind=args.design, beta_pattern=args.pattern, beta_magnitude=args.magnitude)
-    inst = harness._make_instance(config, args.n, args.d, args.seed)
+    spec = linmodel.InstanceSpec(ball=ball, sigma=args.sigma, design_kind=args.design,
+                                 beta_pattern=args.pattern, beta_magnitude=args.magnitude)
+    inst = spec.draw(args.n, args.d, args.seed)
     doc = {"n": inst.n, "d": inst.d, "sigma": inst.sigma, "seed": inst.seed,
            "beta_support": np.flatnonzero(inst.beta_star).tolist()}
 
-    if solve:
+    if args.estimator != "none":
+        estimator = {"kind": args.estimator, "radius": args.radius, "lam": args.lam}
+        if args.estimator == "l0":
+            if args.s is None and ball.q != 0.0:
+                raise ParameterError(f"--estimator l0 on a q = {ball.q:g} ball needs --s")
+            estimator["s"] = ball.s if args.s is None else args.s
         result = harness._run_estimator(estimator, inst)
         check = check_basic_inequality(inst, result)
         doc["estimate"] = result.to_json_dict()
         doc["losses"] = {sp.name: linmodel.loss(sp, inst.X, result.beta_hat, inst.beta_star)
-                         for sp in config.losses}
+                         for sp in harness.ExperimentConfig.losses}
         doc["objective_ok"] = check.objective_ok
 
     if args.out:
@@ -224,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="one instance end-to-end")
-    p.add_argument("--design", default=harness.ExperimentConfig.design_kind,
+    p.add_argument("--design", default=linmodel.InstanceSpec.design_kind,
                    choices=["standard_gaussian", "identity_sequence"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
@@ -232,9 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pattern", default=harness.ExperimentConfig.beta_pattern,
+    p.add_argument("--pattern", default=linmodel.InstanceSpec.beta_pattern,
                    choices=list(linmodel._PATTERNS))
-    p.add_argument("--magnitude", type=float, default=harness.ExperimentConfig.beta_magnitude)
+    p.add_argument("--magnitude", type=float, default=linmodel.InstanceSpec.beta_magnitude)
     p.add_argument("--estimator", default="none",
                    choices=["none", *harness._ESTIMATORS])
     p.add_argument("--s", type=int, default=None)

@@ -319,8 +319,8 @@ def l1_constrained_ls(
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if r1 <= 0:
-        raise ParameterError(f"r1 must be positive, got {r1}")
+    if not 0.0 < r1 < math.inf:
+        raise ParameterError(f"r1 must be finite and positive, got {r1}")
     require_rows(X, y=y)
     require_finite(X=X, y=y)
     lip, lip_steps = _lipschitz(X)

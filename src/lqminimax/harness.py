@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .conditions import in_cone
-from .errors import ConsistencyError, ParameterError
+from .errors import ConsistencyError, CovarianceError, ParameterError
 from .estimators import (
     EstimateResult,
     check_basic_inequality,
@@ -33,18 +33,7 @@ from .estimators import (
     lasso,
     lq_constrained_ls,
 )
-from .linmodel import (
-    _PATTERNS,
-    BallSpec,
-    DesignSpec,
-    LossSpec,
-    ProblemInstance,
-    derive_seed,
-    generate_design,
-    generate_sparse_beta,
-    loss,
-    simulate,
-)
+from .linmodel import BallSpec, InstanceSpec, LossSpec, ProblemInstance, derive_seed, loss
 
 __all__ = [
     "ExperimentConfig",
@@ -72,29 +61,17 @@ TRIM_FRACTION = 0.02  # trimmed-mean risk estimate; raw means are kept too
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One risk sweep; ``sigma`` is the noise level of y = X b + w.
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(InstanceSpec):
+    """One risk sweep: the instance recipe of ``InstanceSpec`` drawn over an
+    (n, d) grid and solved by one estimator."""
 
-    ``design_kind="identity_sequence"`` is the sequence model: d = n and
-    X = sqrt(n) I, so ``sigma`` is its tau."""
-
-    ball: BallSpec
-    sigma: float
     n_grid: tuple
     estimator: dict
     d_rule: tuple = ("fixed", 32)  # or ("proportional", ratio)
-    design_kind: str = "standard_gaussian"
-    sigma_cov: Optional[tuple] = None  # rows of the covariance, for correlated designs
     trials_per_cell: int = 1
     losses: tuple = (LossSpec.l2(), LossSpec.prediction())
     seed_root: int = 0
-    beta_pattern: str = "random_support"
-    beta_magnitude: float = 1.0
-    # "constant" uses beta_magnitude; "threshold_logd" places entries at the
-    # per-cell detection scale sigma sqrt(2 log d / n), the least favorable
-    # configuration for soft-sparse balls
-    beta_magnitude_rule: str = "constant"
     kappa_exponent: float = 0.5
     enforce_scaling: bool = False
 
@@ -107,25 +84,15 @@ class ExperimentConfig:
             raise ParameterError("need at least one trial per cell")
         if self.d_rule[0] not in ("fixed", "proportional"):
             raise ParameterError(f"unknown d_rule {self.d_rule!r}")
-        unknown = [f"{name} {value!r} (known: {', '.join(known)})"
-                   for name, value, known in (
-                       ("design_kind", self.design_kind, DesignSpec._KINDS),
-                       ("beta_pattern", self.beta_pattern, _PATTERNS),
-                       ("beta_magnitude_rule", self.beta_magnitude_rule, _MAGNITUDE_RULES),
-                       ("estimator kind", self.estimator.get("kind"), _ESTIMATORS))
-                   if value not in known]
-        if unknown:
-            raise ParameterError("unknown " + "; ".join(unknown))
-        if not 0.0 <= self.sigma < math.inf:
-            raise ParameterError(f"sigma must be finite and nonnegative, got {self.sigma}")
-        scale = _MAGNITUDE_RULES[self.beta_magnitude_rule][0]
-        if not 0.0 < getattr(self, scale) < math.inf:
-            raise ParameterError(f"{scale} must be finite and positive under beta_magnitude_rule "
-                                 f"{self.beta_magnitude_rule!r}, got {getattr(self, scale)}")
+        super().__post_init__(("estimator kind", self.estimator.get("kind"), _ESTIMATORS))
         if (self.design_kind == "identity_sequence"
                 and tuple(self.d_rule) != ("proportional", 1.0)):
             raise ParameterError(
                 f"identity_sequence needs d_rule ('proportional', 1.0), got {self.d_rule!r}")
+        dims = {self.dim_at(n) for n in grid}
+        if self.root is not None and dims != {len(self.root)}:
+            raise CovarianceError(f"covariance is {len(self.root)} x {len(self.root)}, but "
+                                  f"d_rule {self.d_rule!r} gives d in {sorted(dims)}")
 
     def dim_at(self, n: int) -> int:
         kind, value = self.d_rule
@@ -144,7 +111,7 @@ class ExperimentConfig:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
         """Inverse of ``to_json_dict``; absent keys take the field defaults."""
-        by_name = {f.name: f for f in fields(cls)}
+        by_name = {f.name: f for f in fields(cls) if f.init}
         unknown = sorted(set(doc) - set(by_name))
         if unknown:
             raise ParameterError(f"unknown config keys {unknown}; the fields are {list(by_name)}")
@@ -172,9 +139,9 @@ def _config_value(name: str, type_name: str, value):
 
 
 def _to_json(value):
-    """Dataclasses become dicts of their fields and tuples become lists, recursively."""
+    """Dataclasses become dicts of their init fields and tuples become lists, recursively."""
     if is_dataclass(value):
-        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value) if f.init}
     if isinstance(value, tuple):
         return [_to_json(v) for v in value]
     return value
@@ -234,33 +201,16 @@ _ESTIMATORS = {
     "lasso": lambda est, inst: lasso(inst.X, inst.y, float(est["lam"]), **_solver_options(est)),
 }
 
-# beta_magnitude_rule -> (config field that scales the truth, its factor in cell (n, d))
-_MAGNITUDE_RULES = {
-    "constant": ("beta_magnitude", lambda n, d: 1.0),
-    "threshold_logd": ("sigma", lambda n, d: math.sqrt(2.0 * math.log(d) / n)),
-}
-
 
 def _run_estimator(est: dict, inst: ProblemInstance) -> EstimateResult:
     """Run the estimator described by ``est`` on ``inst``."""
     return _ESTIMATORS[est["kind"]](est, inst)
 
 
-def _make_instance(config: ExperimentConfig, n: int, d: int, seed: int) -> ProblemInstance:
-    """The instance of one trial: design, truth and noise from streams of ``seed``."""
-    scale, factor = _MAGNITUDE_RULES[config.beta_magnitude_rule]
-    magnitude = getattr(config, scale) * factor(n, d)
-    X = generate_design(DesignSpec(kind=config.design_kind, n=n, d=d,
-                                   seed=derive_seed(seed, 1), sigma_cov=config.sigma_cov))
-    beta = generate_sparse_beta(config.ball, d, pattern=config.beta_pattern,
-                                magnitude=magnitude, seed=derive_seed(seed, 2))
-    return simulate(X, beta, config.sigma, seed=seed, ball=config.ball)
-
-
 def _run_trial(config: ExperimentConfig, n: int, d: int, trial: int) -> TrialRecord:
     seed = derive_seed(config.seed_root, n, d, trial)
     start = time.perf_counter()
-    inst = _make_instance(config, n, d, seed)
+    inst = config.draw(n, d, seed)
     result = _run_estimator(config.estimator, inst)
     check = check_basic_inequality(inst, result)
     if config.estimator["kind"] == "l0" and not check.objective_ok:

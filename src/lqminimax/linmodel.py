@@ -22,6 +22,7 @@ from .errors import CovarianceError, DimensionError, MembershipError, ParameterE
 __all__ = [
     "BallSpec",
     "DesignSpec",
+    "InstanceSpec",
     "LossSpec",
     "ProblemInstance",
     "derive_seed",
@@ -57,8 +58,8 @@ class BallSpec:
         object.__setattr__(self, "radius", float(self.radius))
         if not 0.0 <= self.q <= 1.0:
             raise ParameterError(f"q must lie in [0, 1], got {self.q}")
-        if self.radius <= 0:
-            raise ParameterError(f"radius must be positive, got {self.radius}")
+        if not 0.0 < self.radius < math.inf:
+            raise ParameterError(f"radius must be finite and positive, got {self.radius}")
         if self.q == 0.0 and self.radius != int(self.radius):
             raise ParameterError(
                 f"q = 0 requires an integer support budget, got {self.radius}"
@@ -114,6 +115,62 @@ class DesignSpec:
                 raise CovarianceError(f"covariance has shape {np.shape(self.sigma_cov)}, "
                                       f"expected ({self.d}, {self.d})")
             object.__setattr__(self, "root", symmetric_sqrt(self.sigma_cov))
+
+
+@dataclass(frozen=True, kw_only=True)
+class InstanceSpec:
+    """Recipe for one trial's instance; ``sigma`` is the noise level of y = X b + w
+    (tau for ``identity_sequence``).  A correlated spec checks and factors Sigma
+    once, at construction, and every draw reuses the root (None for the other kinds).
+    """
+
+    ball: BallSpec
+    sigma: float
+    design_kind: str = "standard_gaussian"
+    sigma_cov: Optional[tuple] = None  # rows of the covariance, for correlated designs
+    beta_pattern: str = "random_support"
+    beta_magnitude: float = 1.0
+    # "constant" uses beta_magnitude; "threshold_logd" places entries at the
+    # per-cell detection scale sigma sqrt(2 log d / n), the least favorable
+    # configuration for soft-sparse balls
+    beta_magnitude_rule: str = "constant"
+    root: Optional[np.ndarray] = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self, *names):
+        """``names`` adds (name, value, known values) entries to the one unknown-name error."""
+        unknown = [f"{name} {value!r} (known: {', '.join(known)})"
+                   for name, value, known in (
+                       ("design_kind", self.design_kind, DesignSpec._KINDS),
+                       ("beta_pattern", self.beta_pattern, _PATTERNS),
+                       ("beta_magnitude_rule", self.beta_magnitude_rule, _MAGNITUDE_RULES),
+                       *names)
+                   if value not in known]
+        if unknown:
+            raise ParameterError("unknown " + "; ".join(unknown))
+        if not 0.0 <= self.sigma < math.inf:
+            raise ParameterError(f"sigma must be finite and nonnegative, got {self.sigma}")
+        scale = _MAGNITUDE_RULES[self.beta_magnitude_rule][0]
+        if not 0.0 < getattr(self, scale) < math.inf:
+            raise ParameterError(f"{scale} must be finite and positive under beta_magnitude_rule "
+                                 f"{self.beta_magnitude_rule!r}, got {getattr(self, scale)}")
+        if self.design_kind == "correlated_gaussian":
+            if self.sigma_cov is None:
+                raise ParameterError("correlated_gaussian requires a covariance")
+            object.__setattr__(self, "root", symmetric_sqrt(self.sigma_cov))
+
+    def draw(self, n: int, d: int, seed: int) -> ProblemInstance:
+        """The n x d instance of one trial, d being Sigma's size if correlated: design,
+        truth and noise from the streams derive_seed(seed, 1), derive_seed(seed, 2), seed."""
+        design_seed = derive_seed(seed, 1)
+        if self.root is None:
+            X = generate_design(DesignSpec(kind=self.design_kind, n=n, d=d, seed=design_seed))
+        else:
+            X = _gaussian_rows(n, d, design_seed, self.root)
+        scale, factor = _MAGNITUDE_RULES[self.beta_magnitude_rule]
+        beta = generate_sparse_beta(self.ball, d, pattern=self.beta_pattern,
+                                    magnitude=getattr(self, scale) * factor(n, d),
+                                    seed=derive_seed(seed, 2))
+        return simulate(X, beta, self.sigma, seed=seed, ball=self.ball)
 
 
 @dataclass(frozen=True)
@@ -231,9 +288,14 @@ def generate_design(spec: DesignSpec) -> np.ndarray:
     if spec.kind == "identity_sequence":
         # one n^2 pass; eye followed by a scale would make two
         return np.diag(np.full(spec.n, math.sqrt(spec.n)))
-    rng, _ = split_streams(spec.seed)
-    w = rng.standard_normal((spec.n, spec.d))
-    return w if spec.root is None else w @ spec.root
+    return _gaussian_rows(spec.n, spec.d, spec.seed, spec.root)
+
+
+def _gaussian_rows(n: int, d: int, seed: int, root: Optional[np.ndarray]) -> np.ndarray:
+    """n rows i.i.d. N(0, root @ root): standard-normal W from the design stream of
+    ``seed``, times the root (None for the identity)."""
+    w = split_streams(seed)[0].standard_normal((n, d))
+    return w if root is None else w @ root
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +307,12 @@ def generate_design(spec: DesignSpec) -> np.ndarray:
 _PATTERNS = {
     "random_support": lambda d, k, seed: split_streams(seed)[0].choice(d, size=k, replace=False),
     "first_coordinates": lambda d, k, seed: np.arange(k),
+}
+
+# beta_magnitude_rule -> (InstanceSpec field that scales the truth, its factor in cell (n, d))
+_MAGNITUDE_RULES = {
+    "constant": ("beta_magnitude", lambda n, d: 1.0),
+    "threshold_logd": ("sigma", lambda n, d: math.sqrt(2.0 * math.log(d) / n)),
 }
 
 

@@ -262,8 +262,9 @@ class TestRescale:
                         assert sq.max() <= 8 * delta**2 + 1e-12
 
     def test_degenerate_delta_zero(self):
-        scaled = rescale_hypercube_packing(hamming_packing(5, 2), 0.0, 2)
-        assert np.all(scaled.points == 0.0)
+        # delta_n = 0 would certify identical points as a packing
+        with pytest.raises(ParameterError, match="delta_n must be finite and positive"):
+            rescale_hypercube_packing(hamming_packing(5, 2), 0.0, 2)
 
 
 def _max_independent_set(points, delta):
@@ -316,6 +317,11 @@ class TestGreedyPack:
         assert greedy.cardinality == oracle == 13
         # at larger separations greedy stays a valid lower bound on M(delta)
         assert greedy_pack(pts, delta=0.9).cardinality <= _max_independent_set(pts, 0.9)
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_delta_rejected(self, delta):
+        with pytest.raises(ParameterError, match="delta must be finite and positive"):
+            greedy_pack(np.eye(3), delta=delta)
 
     def test_self_certifies(self):
         rng = np.random.default_rng(0)

@@ -281,6 +281,11 @@ def test_misshaped_input_rejected(solver, X_shape, y_shape):
 
 
 class TestL1Constrained:
+    @pytest.mark.parametrize("r1", [0.0, math.nan, math.inf])
+    def test_radius_must_be_finite_and_positive(self, r1):
+        with pytest.raises(ParameterError, match="r1 must be finite and positive"):
+            l1_constrained_ls(np.eye(2), np.ones(2), r1=r1)
+
     def test_interior_truth_noiseless(self):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((30, 5))

@@ -6,7 +6,7 @@ import pytest
 
 from lqminimax import harness
 from lqminimax.cli import main as cli_main
-from lqminimax.errors import DimensionError, ParameterError
+from lqminimax.errors import CovarianceError, DimensionError, ParameterError
 from lqminimax.harness import (
     COUNTEREXAMPLE_X,
     ExperimentConfig,
@@ -35,6 +35,7 @@ from lqminimax.linmodel import (
     derive_seed,
     generate_design,
     generate_sparse_beta,
+    loss,
     simulate,
 )
 
@@ -116,8 +117,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("overrides, expected", [
         ({}, "247e3104183cce0f"),
-        ({"design_kind": "correlated_gaussian", "sigma_cov": ((1.0, 0.5), (0.5, 1.0))},
-         "89a581e460b8d624"),
+        ({"design_kind": "correlated_gaussian", "sigma_cov": ((1.0, 0.5), (0.5, 1.0)),
+          "d_rule": ("fixed", 2)}, "e0434b86bbca109e"),
         ({"design_kind": "identity_sequence", "d_rule": ("proportional", 1.0),
           "beta_magnitude_rule": "threshold_logd"}, "e26f667ebb06901a"),
         ({"ball": BallSpec(1.0, 2.0), "estimator": {"kind": "l1", "radius": 2.0}},
@@ -140,6 +141,19 @@ class TestConfig:
     def test_bad_noise_or_truth_magnitude_rejected(self, overrides, bad):
         with pytest.raises(ParameterError, match=f"^{bad} must be"):
             _tiny_config(**overrides)
+
+    @pytest.mark.parametrize("overrides, message", [
+        # asymmetric and indefinite, and 2 x 2 where d_rule gives d = 3
+        ({"sigma_cov": ((1.0, 2.0), (0.0, -1.0)), "d_rule": ("fixed", 3)}, "not symmetric"),
+        ({"sigma_cov": ((1.0, 2.0), (2.0, 1.0)), "d_rule": ("fixed", 2)}, "negative eigenvalue"),
+        # a valid 2 x 2 Sigma where d_rule gives d = 4 (an earlier pinned-hash case)
+        ({"sigma_cov": ((1.0, 0.5), (0.5, 1.0))}, r"2 x 2, but d_rule .* gives d in \[4\]"),
+        ({"sigma_cov": ((1.0, 0.5), (0.5, 1.0)), "d_rule": ("proportional", 0.1)},
+         r"gives d in \[1, 2, 4\]"),
+    ], ids=["asymmetric_mis_sized", "indefinite", "mis_sized", "mis_sized_by_proportional_rule"])
+    def test_covariance_checked_at_construction(self, overrides, message):
+        with pytest.raises(CovarianceError, match=message):
+            _tiny_config(design_kind="correlated_gaussian", **overrides)
 
     def test_zero_sigma_allowed_under_constant_magnitude(self):
         # noiseless y = X b, the truth scaled by beta_magnitude alone
@@ -210,6 +224,49 @@ class TestRunRiskExperiment:
         assert got.to_json_dict() == solve(inst).to_json_dict()
         del est["max_iter"], est["tol"]  # the solver's own defaults
         assert harness._run_estimator(est, inst).iterations > got.iterations
+
+
+# AR(1) covariance 0.5^|i - j| at d = 6
+COV6 = tuple(tuple(0.5 ** abs(i - j) for j in range(6)) for i in range(6))
+
+
+class TestCorrelatedSweep:
+    @staticmethod
+    def _config():
+        return ExperimentConfig(ball=BallSpec(1.0, 2.0), sigma=0.5, n_grid=(12, 24),
+                                estimator={"kind": "l1", "radius": 2.0}, d_rule=("fixed", 6),
+                                design_kind="correlated_gaussian", sigma_cov=COV6,
+                                trials_per_cell=2, seed_root=11)
+
+    def test_records_match_instances_built_by_hand(self):
+        config = self._config()
+        records = run_risk_experiment(config).records
+        assert len(records) == 4
+        for rec in records:
+            seed = derive_seed(11, rec.n, rec.d, rec.trial)
+            X = generate_design(DesignSpec("correlated_gaussian", rec.n, 6,
+                                           seed=derive_seed(seed, 1), sigma_cov=np.array(COV6)))
+            beta = generate_sparse_beta(config.ball, 6, seed=derive_seed(seed, 2))
+            inst = simulate(X, beta, 0.5, seed=seed, ball=config.ball)
+            beta_hat = l1_constrained_ls(inst.X, inst.y, 2.0).beta_hat
+            assert rec.seed == seed
+            assert rec.losses == {sp.name: loss(sp, X, beta_hat, beta) for sp in config.losses}
+
+    def test_one_covariance_decomposition_per_sweep(self, monkeypatch):
+        calls = []
+
+        def counting(name):
+            real = getattr(np.linalg, name)
+
+            def decompose(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return decompose
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        run_risk_experiment(self._config())  # the config is built under the count too
+        assert calls == ["eigh"]
 
 
 class TestFitRateSlope:
@@ -535,6 +592,11 @@ class TestCli:
                          "--require-kernel-trivial"])
         assert code == 1
 
+    @pytest.mark.parametrize("delta", ["-0.5", "0", "nan", "inf"])
+    def test_pack_rejects_a_bad_rescale(self, delta):
+        with pytest.raises(ParameterError, match="delta_n must be finite and positive"):
+            cli_main(["pack", "--d", "6", "--s", "2", "--rescale", delta])
+
     def test_pack_with_sidecar(self, tmp_path, capsys):
         out = tmp_path / "pack.csv"
         code = cli_main(["pack", "--d", "6", "--s", "2", "--out", str(out)])
@@ -555,6 +617,34 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["n_points"] == 3
         assert records.exists() and plot.exists()
+
+    def test_simulate_without_estimator_builds_none(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate --estimator none built a config or ran a solver")
+
+        monkeypatch.setattr(ExperimentConfig, "__post_init__", refuse)
+        monkeypatch.setattr(harness, "_run_estimator", refuse)
+        assert cli_main(["simulate", "--n", "20", "--d", "6", "--seed", "3"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert "estimate" not in doc and doc["beta_support"]
+
+    def test_simulate_l0_s_defaults_to_the_ball(self, capsys):
+        argv = ["simulate", "--n", "20", "--d", "6", "--q", "0", "--radius", "2",
+                "--sigma", "0.1", "--estimator", "l0"]
+        assert cli_main(argv) == 0
+        assert np.count_nonzero(json.loads(capsys.readouterr().out)["estimate"]["beta_hat"]) == 2
+        assert cli_main(argv + ["--s", "1"]) == 0
+        assert np.count_nonzero(json.loads(capsys.readouterr().out)["estimate"]["beta_hat"]) == 1
+        # --s 0 is an explicit budget, not a missing one
+        with pytest.raises(ParameterError, match="need 1 <= s <= d"):
+            cli_main(argv + ["--s", "0"])
+        with pytest.raises(ParameterError, match="needs --s"):
+            cli_main(["simulate", "--n", "20", "--d", "6", "--q", "0.5", "--radius", "2",
+                      "--estimator", "l0"])
+
+    def test_simulate_rejects_an_infinite_radius(self):
+        with pytest.raises(ParameterError, match="radius must be finite and positive"):
+            cli_main(["simulate", "--n", "20", "--d", "6", "--q", "0.5", "--radius", "inf"])
 
     def test_simulate_identity_sequence_sigma_is_tau(self, tmp_path, capsys):
         out = tmp_path / "inst.json"

@@ -43,6 +43,13 @@ class TestBallSpec:
         with pytest.raises(ParameterError):
             BallSpec(q=0.5, radius=0.0)
 
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, -1.0])
+    def test_radius_must_be_finite_and_positive(self, q, radius):
+        # q = 0 used to hit int(radius): a bare ValueError for NaN, OverflowError for inf
+        with pytest.raises(ParameterError, match="radius must be finite and positive"):
+            BallSpec(q=q, radius=radius)
+
     def test_bind_to_dimension(self):
         with pytest.raises(ParameterError):
             BallSpec(q=0.0, radius=5).validate_for_dim(3)

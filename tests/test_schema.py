@@ -42,15 +42,20 @@ estimators = st.fixed_dictionaries(
 def configs(draw):
     design_kind = draw(st.sampled_from(
         ["standard_gaussian", "correlated_gaussian", "identity_sequence"]))
+    sigma_cov = None
     if design_kind == "identity_sequence":
         d_rule = ("proportional", 1.0)
+    elif design_kind == "correlated_gaussian":
+        # a config checks Sigma when it is built: PSD Sigma = A A^T, exactly
+        # symmetric as each entry sums the same products, and d fixed at its size
+        k = draw(st.integers(1, 3))
+        a = [[draw(st.floats(-1e3, 1e3)) for _ in range(k)] for _ in range(k)]
+        sigma_cov = tuple(tuple(sum(x * y for x, y in zip(a[i], a[j])) for j in range(k))
+                          for i in range(k))
+        d_rule = ("fixed", k)
     else:
         d_rule = draw(st.one_of(st.tuples(st.just("fixed"), st.integers(1, 500)),
                                 st.tuples(st.just("proportional"), positive)))
-    sigma_cov = None
-    if design_kind == "correlated_gaussian":
-        k = draw(st.integers(1, 3))
-        sigma_cov = tuple(tuple(draw(finite) for _ in range(k)) for _ in range(k))
     n_grid = tuple(sorted(draw(st.sets(st.integers(1, 10**6), min_size=1, max_size=6))))
     rule = draw(st.sampled_from(["constant", "threshold_logd"]))
     sigma = draw(positive if rule == "threshold_logd" else noise_levels)
