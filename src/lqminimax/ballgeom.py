@@ -20,7 +20,6 @@ from itertools import product
 from typing import Iterable, Union
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .errors import ConsistencyError, ParameterError
 from .linmodel import BallSpec
@@ -156,12 +155,19 @@ def truncation_inequality(theta: np.ndarray, rq: float, q: float, tau: float) ->
 # packings
 # ---------------------------------------------------------------------------
 
+def _pdist(points: np.ndarray, metric: str) -> np.ndarray:
+    """scipy's condensed pairwise distances; scipy.spatial, the slowest import
+    the package makes, is deferred to the first call."""
+    from scipy.spatial.distance import pdist
+    return pdist(points, metric)
+
+
 # packing metric -> (condensed vector of all pairwise distances of the rows of
 # points, distances from each row of points to the single point z)
 _METRICS = {
-    "l2": (lambda points: pdist(points, "euclidean"),
+    "l2": (lambda points: _pdist(points, "euclidean"),
            lambda points, z: np.linalg.norm(points - z, axis=1)),
-    "hamming": (lambda points: pdist(points, "hamming") * points.shape[1],
+    "hamming": (lambda points: _pdist(points, "hamming") * points.shape[1],
                 lambda points, z: np.count_nonzero(points != z, axis=1)),
 }
 
@@ -253,7 +259,7 @@ def rescale_hypercube_packing(packing: PackingResult, delta_n: float, s: int) ->
     if pts.size and not np.all(np.count_nonzero(pts, axis=1) == s):
         raise ParameterError(f"points do not all have exactly {s} nonzeros")
     if pts.shape[0] >= 2:
-        diff_sq = pdist(pts, "sqeuclidean")  # integer-valued for ternary points
+        diff_sq = _pdist(pts, "sqeuclidean")  # integer-valued for ternary points
         if diff_sq.min() < s / 2 - 1e-9 or diff_sq.max() > 4 * s + 1e-9:
             raise ConsistencyError(
                 "rescaled pair certificate failed: squared ternary distance "

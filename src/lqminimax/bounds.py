@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ParameterError, require_finite, require_rows
 from .supports import support_chunks
@@ -304,6 +303,7 @@ class LogBinomial:
 
 def log_binomial(d: int, s: int) -> LogBinomial:
     """Exact log C(d, s) via log-gamma, with the standard bracketing."""
+    from scipy.special import gammaln  # deferred: a slow import few callers need
     if not 0 <= s <= d:
         raise ParameterError(f"need 0 <= s <= d, got s={s}, d={d}")
     value = float(gammaln(d + 1) - gammaln(s + 1) - gammaln(d - s + 1))

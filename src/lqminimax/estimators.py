@@ -6,14 +6,16 @@ projected gradient with a feasibility heuristic (no global guarantee; use an
 oracle warm start in simulations), and the Lasso by cyclic coordinate
 descent.  Both projected-gradient solvers step 1/L, where L is a Lanczos
 upper bound on sigma_max(X)^2 within a factor 1 + 1e-6 of it (``_lipschitz``
-says when it can fall short).
+says when it can fall short).  When n >= d they form G = X^T X and c = X^T y
+once per call, d^2 + d floats on top of X, and take every gradient and
+Lanczos product from them at d^2 flops; when n < d they use products with X.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -64,39 +66,35 @@ class EstimateResult:
         }
 
 
-def _lipschitz(X: np.ndarray) -> tuple:
-    """(L, steps): an upper bound L on sigma_max(X)^2 and the Lanczos steps it took.
+def _lipschitz(apply: Callable, m: int, round_off: float) -> tuple:
+    """(L, steps): an upper bound L on the top eigenvalue of an m x m symmetric
+    PSD operator, given by its product ``apply``, and the Lanczos steps it took.
 
-    Lanczos with full reorthogonalisation on the smaller of X^T X and X X^T,
-    touching X only through matrix-vector products, from a seeded Gaussian
-    start.  With (theta, u) the top Ritz pair, beta the next Lanczos
-    coefficient, rho = beta |u_last| = ||A u - theta u|| and
-    slack = rho + (n + d) eps theta (the products' round-off), it returns
+    Lanczos with full reorthogonalisation from a seeded Gaussian start.  With
+    (theta, u) the top Ritz pair, beta the next Lanczos coefficient,
+    rho = beta |u_last| = ||A u - theta u|| and slack = rho + round_off theta
+    (``round_off`` covers the rounding of one product), it returns
     L = theta + slack at the first step where slack <= 1e-6 theta and theta
     has settled: it rose by at most slack over the last two steps, or
-    beta <= (n + d) eps theta, so the Krylov space is invariant (X = c I after
-    one step).  After min(n, d) steps the Krylov space is the whole space and
+    beta <= round_off theta, so the Krylov space is invariant (a multiple of
+    I after one step).  After m steps the Krylov space is the whole space and
     it stops regardless.  Ritz values never exceed lambda_max and some
     eigenvalue lies within rho of theta, but not necessarily the top one: a
     Ritz value between two eigenvalues closer than rho has a small residual
     too, and while the Krylov space holds little of the top eigenvector theta
     can stall for a step near a lower eigenvalue, hence the two-step rule.
-    So L <= (1 + 1e-6) sigma_max^2, and sigma_max^2 <= L unless the start is
+    So L <= (1 + 1e-6) lambda_max, and lambda_max <= L unless the start is
     numerically orthogonal to the top eigenvector or theta stalls for two
     steps; the latter was seen only when the top eigenvalues cluster within
     1e-5 relative, and L then fell short by less than the cluster's width.
-    X = 0 gives (0.0, 1).
+    The zero operator gives (0.0, 1).
     """
-    n, d = X.shape
-    m = min(n, d)
-    gram = (lambda v: X.T @ (X @ v)) if n >= d else (lambda v: X @ (X.T @ v))
-    round_off = (n + d) * np.finfo(float).eps
     start = np.random.default_rng(0).standard_normal(m)
     basis = [start / np.linalg.norm(start)]
     alphas, betas = [], []
     tops = [-math.inf, -math.inf]  # top Ritz value after each step
     for step in range(1, m + 1):
-        w = gram(basis[-1])
+        w = apply(basis[-1])
         alphas.append(float(basis[-1] @ w))
         V = np.array(basis)
         w -= V.T @ (V @ w)
@@ -113,6 +111,24 @@ def _lipschitz(X: np.ndarray) -> tuple:
         betas.append(beta)
         basis.append(w / beta)
     return theta + slack, step
+
+
+def _least_squares_gradient(X: np.ndarray, y: np.ndarray) -> tuple:
+    """(half_gradient, L, steps) for the objective ||y - X b||^2: half_gradient(b)
+    is X^T (X b - y), and L the ``_lipschitz`` bound on sigma_max(X)^2.
+
+    When n >= d, G = X^T X and c = X^T y are formed once, half_gradient(b) is
+    G b - c and Lanczos runs on G; its round-off pad (2n + d) eps also covers
+    the rounding of G.  When n < d both use products with X, and Lanczos runs
+    on X X^T with pad (n + d) eps.
+    """
+    n, d = X.shape
+    eps = np.finfo(float).eps
+    if n >= d:
+        G, c = X.T @ X, X.T @ y
+        return (lambda b: G @ b - c), *_lipschitz(G.__matmul__, d, (2 * n + d) * eps)
+    return ((lambda b: X.T @ (X @ b - y)),
+            *_lipschitz(lambda v: X @ (X.T @ v), n, (n + d) * eps))
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +332,11 @@ def l1_constrained_ls(
     with converged=True the objective is within tol of the constrained
     optimum.  info holds the gap, L ("lipschitz") and the Lanczos steps
     ("lipschitz_steps").
+
+    When n >= d the gradient is G b - c from G = X^T X and c = X^T y,
+    formed once per call (d^2 + d floats), and Lanczos runs on G; when
+    n < d both use products with X.  The objective, and the trace of it
+    that ``record_trace`` keeps, is ||y - X b||^2 from X either way.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -323,17 +344,17 @@ def l1_constrained_ls(
         raise ParameterError(f"r1 must be finite and positive, got {r1}")
     require_rows(X, y=y)
     require_finite(X=X, y=y)
-    lip, lip_steps = _lipschitz(X)
+    half_gradient, lip, lip_steps = _least_squares_gradient(X, y)
     beta = np.zeros(X.shape[1])
     trace = []
     converged = False
     gap = math.inf
     it = 0
     for it in range(1, max_iter + 1):
-        r = X @ beta - y
         if record_trace:
+            r = X @ beta - y
             trace.append(float(r @ r))
-        grad_half = X.T @ r
+        grad_half = half_gradient(beta)
         grad = 2.0 * grad_half
         gap = float(grad @ beta + r1 * np.max(np.abs(grad)))
         if gap <= tol:
@@ -375,7 +396,9 @@ def lq_constrained_ls(
     """Multi-start projected gradient over the nonconvex ball, q in (0, 1).
 
     Steps 1/L with L the Lanczos bound on sigma_max(X)^2 that
-    ``l1_constrained_ls`` uses, reported with its step count in info.  The
+    ``l1_constrained_ls`` uses, reported with its step count in info; like
+    it, takes gradients from G = X^T X and c = X^T y (d^2 + d floats) when
+    n >= d and from X otherwise, and scores iterates by ||y - X b||^2.  The
     projection is a heuristic onto a nonconvex set, so a step may raise the
     objective; the solver keeps the best feasible iterate ever visited,
     including the projected starts themselves, so supplying the truth as an
@@ -391,7 +414,7 @@ def lq_constrained_ls(
     y = np.asarray(y, dtype=float)
     require_rows(X, y=y)
     require_finite(X=X, y=y)
-    lip, lip_steps = _lipschitz(X)
+    half_gradient, lip, lip_steps = _least_squares_gradient(X, y)
     step = 1.0 / lip if lip > 0 else 1.0
 
     best_beta: Optional[np.ndarray] = None
@@ -412,8 +435,7 @@ def lq_constrained_ls(
         consider(beta)
         for _ in range(max_iter):
             total_iters += 1
-            grad_half = X.T @ (X @ beta - y)
-            nxt = project_lq_heuristic(beta - step * grad_half, ball)
+            nxt = project_lq_heuristic(beta - step * half_gradient(beta), ball)
             consider(nxt)
             if np.max(np.abs(nxt - beta)) <= tol:
                 any_stationary = True

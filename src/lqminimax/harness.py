@@ -21,10 +21,9 @@ from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .conditions import in_cone
-from .errors import ConsistencyError, CovarianceError, ParameterError
+from .errors import ConsistencyError, CovarianceError, DimensionError, ParameterError
 from .estimators import (
     EstimateResult,
     check_basic_inequality,
@@ -84,11 +83,21 @@ class ExperimentConfig(InstanceSpec):
             raise ParameterError("need at least one trial per cell")
         if self.d_rule[0] not in ("fixed", "proportional"):
             raise ParameterError(f"unknown d_rule {self.d_rule!r}")
-        super().__post_init__(("estimator kind", self.estimator.get("kind"), _ESTIMATORS))
+        kind = self.estimator.get("kind")
+        super().__post_init__(("estimator kind", kind, _ESTIMATORS))
+        missing = [key for key in _ESTIMATORS[kind][0] if key not in self.estimator]
+        if missing:
+            raise ParameterError(f"estimator kind {kind!r} needs the keys {missing}")
         if (self.design_kind == "identity_sequence"
                 and tuple(self.d_rule) != ("proportional", 1.0)):
             raise ParameterError(
                 f"identity_sequence needs d_rule ('proportional', 1.0), got {self.d_rule!r}")
+        for n in grid:
+            d = self.dim_at(n)
+            if n < 1 or d < 1:
+                raise DimensionError(
+                    f"need n, d >= 1, but d_rule {self.d_rule!r} gives n={n}, d={d}")
+            self.ball.validate_for_dim(d)
         dims = {self.dim_at(n) for n in grid}
         if self.root is not None and dims != {len(self.root)}:
             raise CovarianceError(f"covariance is {len(self.root)} x {len(self.root)}, but "
@@ -189,22 +198,23 @@ def _solver_options(est: dict) -> dict:
             if key in est}
 
 
-# estimator kind -> solver of the instance given the estimator dict; lq starts from
-# the truth and from zero (an oracle warm start, so its objective is never worse
-# than at the truth) and reads the ball from the instance
+# estimator kind -> (keys the estimator dict must hold, solver of the instance given
+# the dict); lq starts from the truth and from zero (an oracle warm start, so its
+# objective is never worse than at the truth) and reads the ball from the instance
 _ESTIMATORS = {
-    "l0": lambda est, inst: l0_least_squares(inst.X, inst.y, int(est["s"])),
-    "l1": lambda est, inst: l1_constrained_ls(
-        inst.X, inst.y, float(est["radius"]), **_solver_options(est)),
-    "lq": lambda est, inst: lq_constrained_ls(
-        inst.X, inst.y, inst.ball, [inst.beta_star, np.zeros(inst.d)], **_solver_options(est)),
-    "lasso": lambda est, inst: lasso(inst.X, inst.y, float(est["lam"]), **_solver_options(est)),
+    "l0": (("s",), lambda est, inst: l0_least_squares(inst.X, inst.y, int(est["s"]))),
+    "l1": (("radius",), lambda est, inst: l1_constrained_ls(
+        inst.X, inst.y, float(est["radius"]), **_solver_options(est))),
+    "lq": ((), lambda est, inst: lq_constrained_ls(
+        inst.X, inst.y, inst.ball, [inst.beta_star, np.zeros(inst.d)], **_solver_options(est))),
+    "lasso": (("lam",), lambda est, inst: lasso(
+        inst.X, inst.y, float(est["lam"]), **_solver_options(est))),
 }
 
 
 def _run_estimator(est: dict, inst: ProblemInstance) -> EstimateResult:
     """Run the estimator described by ``est`` on ``inst``."""
-    return _ESTIMATORS[est["kind"]](est, inst)
+    return _ESTIMATORS[est["kind"]][1](est, inst)
 
 
 def _run_trial(config: ExperimentConfig, n: int, d: int, trial: int) -> TrialRecord:
@@ -365,6 +375,7 @@ COUNTEREXAMPLE_BETA = np.array([1.0, 0.0, 0.0])
 
 def min_l1_interpolant(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """argmin ||b||_1 subject to X b = y, via the LP split b = b+ - b-."""
+    from scipy.optimize import linprog  # deferred: a slow import few callers need
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     d = X.shape[1]

@@ -8,16 +8,17 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lqminimax import supports
+from lqminimax.ballgeom import project_l1
 from lqminimax.errors import DimensionError, EnumerationBudgetError, ParameterError
 from lqminimax.estimators import (
-    _lipschitz,
+    _least_squares_gradient,
     check_basic_inequality,
     l0_least_squares,
     l1_constrained_ls,
     lasso,
     lq_constrained_ls,
 )
-from lqminimax.linmodel import BallSpec, simulate
+from lqminimax.linmodel import BallSpec, InstanceSpec, simulate
 
 X_COUNTER = np.array([[1.0, -2.0, -1.0], [2.0, -3.0, -3.0]])
 
@@ -490,6 +491,19 @@ class TestBasicInequality:
         assert ok == 50
 
 
+_ENTRIES = st.one_of(st.just(0.0), st.floats(-1e3, -1e-3), st.floats(1e-3, 1e3))
+# top eigenvalues 1 + 1e-6 and 1, and 435^2 + 1 and 435^2: a first Ritz value
+# between them has a residual under 1e-6 theta but lies below the top one
+_NEAR_TIE = np.array([[0.001, 0.0], [-1.0, 0.0], [0.0, -1.0]])
+_NEAR_TIE_WIDE = np.array([[-1.0, -435.0, 0.0, 0.0, 0.0], [0.0] * 5, [0.0, 0.0, -435.0, 0.0, 0.0]])
+
+
+def _lipschitz(X):
+    """(L, steps) as both projected-gradient solvers compute them for X: Lanczos
+    on G = X^T X when n >= d, on X X^T through products with X otherwise."""
+    return _least_squares_gradient(X, np.zeros(X.shape[0]))[1:]
+
+
 def _check_lipschitz(X):
     """_lipschitz(X) lies in [sigma_max^2, (1 + 1e-6) sigma_max^2] by the SVD."""
     lip, steps = _lipschitz(X)
@@ -521,6 +535,7 @@ class TestLipschitz:
 
     def test_zero_matrix(self):
         assert _lipschitz(np.zeros((5, 3))) == (0.0, 1)
+        assert _lipschitz(np.zeros((3, 5))) == (0.0, 1)
 
     @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (1, 1)])
     def test_single_row_or_column(self, shape):
@@ -530,13 +545,19 @@ class TestLipschitz:
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 12).flatmap(lambda n: st.integers(1, 12).flatmap(
-        lambda d: arrays(np.float64, (n, d), elements=st.one_of(
-            st.just(0.0), st.floats(-1e3, -1e-3), st.floats(1e-3, 1e3))))))
-    # top eigenvalues 1 + 1e-6 and 1, and 435^2 + 1 and 435^2: a first Ritz value
-    # between them has a residual under 1e-6 theta but lies below the top one
-    @example(np.array([[0.001, 0.0], [-1.0, 0.0], [0.0, -1.0]]))
-    @example(np.array([[-1.0, -435.0, 0.0, 0.0, 0.0], [0.0] * 5, [0.0, 0.0, -435.0, 0.0, 0.0]]))
+        lambda d: arrays(np.float64, (n, d), elements=_ENTRIES))))
+    @example(_NEAR_TIE)
+    @example(_NEAR_TIE_WIDE)
     def test_bound_property(self, X):
+        _check_lipschitz(X)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda d: st.integers(d, 12).flatmap(
+        lambda n: arrays(np.float64, (n, d), elements=_ENTRIES))))
+    @example(_NEAR_TIE)
+    @example(_NEAR_TIE_WIDE.T)
+    def test_gram_bound_property(self, X):
+        # n >= d: Lanczos runs on G = X^T X, and its pad must cover G's rounding too
         _check_lipschitz(X)
 
     @pytest.mark.parametrize("m", [2, 3, 5, 8, 12, 50])
@@ -552,6 +573,33 @@ class TestLipschitz:
 
     @pytest.mark.parametrize("solver", ["l1", "lq"])
     def test_solvers_report_it(self, solver):
-        X = np.random.default_rng(5).standard_normal((30, 12))
-        res = _SOLVERS[solver](X, np.ones(30))
-        assert (res.info["lipschitz"], res.info["lipschitz_steps"]) == _lipschitz(X)
+        for shape in [(30, 12), (12, 30)]:  # Gram form and X form
+            X = np.random.default_rng(5).standard_normal(shape)
+            res = _SOLVERS[solver](X, np.ones(shape[0]))
+            assert (res.info["lipschitz"], res.info["lipschitz_steps"]) == _lipschitz(X)
+
+
+def _reference_l1(X, y, r1, lip, max_iter, tol):
+    """(iterations, objective) of the l1 loop with every gradient taken from X."""
+    beta = np.zeros(X.shape[1])
+    for it in range(1, max_iter + 1):
+        grad_half = X.T @ (X @ beta - y)
+        grad = 2.0 * grad_half
+        if grad @ beta + r1 * np.max(np.abs(grad)) <= tol:
+            break
+        beta = project_l1(beta - grad_half / lip, r1)
+    r = y - X @ beta
+    return it, float(r @ r)
+
+
+@pytest.mark.parametrize("n", [100, 200, 400, 800])
+def test_gram_form_matches_x_form(n):
+    # criterion 3 instances (d = n / 2, truth at the detection scale) and solver settings
+    spec = InstanceSpec(ball=BallSpec(1.0, 4.0), sigma=1.0, beta_magnitude_rule="threshold_logd")
+    for seed in range(3):
+        inst = spec.draw(n, n // 2, seed)
+        res = l1_constrained_ls(inst.X, inst.y, 4.0, max_iter=3000, tol=1e-6)
+        iterations, objective = _reference_l1(inst.X, inst.y, 4.0, res.info["lipschitz"],
+                                              max_iter=3000, tol=1e-6)
+        assert res.iterations == iterations
+        assert res.objective == pytest.approx(objective, rel=1e-12)

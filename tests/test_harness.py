@@ -155,6 +155,33 @@ class TestConfig:
         with pytest.raises(CovarianceError, match=message):
             _tiny_config(design_kind="correlated_gaussian", **overrides)
 
+    @pytest.mark.parametrize("estimator, key", [
+        ({"kind": "l0"}, "s"),
+        ({"kind": "l1", "max_iter": 10}, "radius"),
+        ({"kind": "lasso", "tol": 1e-6}, "lam"),
+    ])
+    def test_estimator_without_its_key_rejected(self, estimator, key):
+        message = rf"estimator kind '{estimator['kind']}' needs the keys \['{key}'\]"
+        with pytest.raises(ParameterError, match=message):
+            _tiny_config(estimator=estimator)
+        doc = _tiny_config().to_json_dict()
+        doc["estimator"] = estimator
+        with pytest.raises(ParameterError, match=message):
+            ExperimentConfig.from_json_dict(doc)
+
+    @pytest.mark.parametrize("overrides, error, message", [
+        ({"d_rule": ("proportional", 0.01), "n_grid": (10,)}, DimensionError,
+         r"d_rule \('proportional', 0.01\) gives n=10, d=0"),
+        ({"n_grid": (0, 10)}, DimensionError, "gives n=0, d=4"),
+        ({"ball": BallSpec(0.0, 5)}, ParameterError, r"support budget 5.0 not in \[1, 4\]"),
+        # d = 1, 2, 4 on the grid: a budget of 2 fits only the larger cells
+        ({"ball": BallSpec(0.0, 2), "estimator": {"kind": "l0", "s": 2},
+          "d_rule": ("proportional", 0.1)}, ParameterError, r"support budget 2.0 not in \[1, 1\]"),
+    ], ids=["d_zero", "n_zero", "budget_above_fixed_d", "budget_above_smallest_d"])
+    def test_grid_dimensions_checked_at_construction(self, overrides, error, message):
+        with pytest.raises(error, match=message):
+            _tiny_config(**overrides)
+
     def test_zero_sigma_allowed_under_constant_magnitude(self):
         # noiseless y = X b, the truth scaled by beta_magnitude alone
         assert _tiny_config(sigma=0.0).sigma == 0.0

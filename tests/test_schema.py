@@ -22,29 +22,43 @@ positive = st.floats(min_value=1e-6, max_value=1e6)
 # admissible noise levels; threshold_logd scales the truth by sigma, so it needs sigma > 0
 noise_levels = st.floats(min_value=0.0, allow_infinity=False)
 
-balls = st.one_of(
-    st.builds(BallSpec, st.just(0.0), st.integers(1, 10)),
-    st.builds(BallSpec, st.floats(0.0, 1.0).filter(lambda q: q > 0.0), positive),
-)
+
+def balls_within(d: int):
+    """Balls a grid whose smallest dimension is d admits: a q = 0 budget is at most d."""
+    return st.one_of(
+        st.builds(BallSpec, st.just(0.0), st.integers(1, min(10, d))),
+        st.builds(BallSpec, st.floats(0.0, 1.0).filter(lambda q: q > 0.0), positive),
+    )
+
+
+balls = balls_within(10)
 losses = st.lists(
     st.one_of(st.builds(LossSpec, st.just("lp"), st.floats(1.0, 8.0)),
               st.just(LossSpec.prediction())),
     min_size=1, max_size=3,
 ).map(tuple)
-estimators = st.fixed_dictionaries(
-    {"kind": st.sampled_from(["l0", "l1", "lq", "lasso"])},
-    optional={"s": st.integers(1, 8), "radius": positive, "lam": finite,
-              "max_iter": st.integers(1, 10_000)},
-)
+estimator_keys = {"s": st.integers(1, 8), "radius": positive, "lam": finite,
+                  "max_iter": st.integers(1, 10_000)}
+# a config rejects an estimator dict without the key its kind reads
+required_keys = {"l0": ("s",), "l1": ("radius",), "lq": (), "lasso": ("lam",)}
+estimators = st.sampled_from(sorted(required_keys)).flatmap(lambda kind: st.fixed_dictionaries(
+    {"kind": st.just(kind), **{key: estimator_keys[key] for key in required_keys[kind]}},
+    optional={key: value for key, value in estimator_keys.items()
+              if key not in required_keys[kind]},
+))
 
 
 @st.composite
 def configs(draw):
     design_kind = draw(st.sampled_from(
         ["standard_gaussian", "correlated_gaussian", "identity_sequence"]))
+    n_grid = tuple(sorted(draw(st.sets(st.integers(1, 10**6), min_size=1, max_size=6))))
     sigma_cov = None
+    # a config checks every grid dimension when it is built, so d_rule gives d >= 1
+    # at the smallest n, d_min, and a q = 0 ball's budget is at most d_min
     if design_kind == "identity_sequence":
         d_rule = ("proportional", 1.0)
+        d_min = n_grid[0]
     elif design_kind == "correlated_gaussian":
         # a config checks Sigma when it is built: PSD Sigma = A A^T, exactly
         # symmetric as each entry sums the same products, and d fixed at its size
@@ -53,14 +67,17 @@ def configs(draw):
         sigma_cov = tuple(tuple(sum(x * y for x, y in zip(a[i], a[j])) for j in range(k))
                           for i in range(k))
         d_rule = ("fixed", k)
+        d_min = k
     else:
-        d_rule = draw(st.one_of(st.tuples(st.just("fixed"), st.integers(1, 500)),
-                                st.tuples(st.just("proportional"), positive)))
-    n_grid = tuple(sorted(draw(st.sets(st.integers(1, 10**6), min_size=1, max_size=6))))
+        d_rule = draw(st.one_of(
+            st.tuples(st.just("fixed"), st.integers(1, 500)),
+            st.tuples(st.just("proportional"), st.floats(1.0 / n_grid[0], 1e6))))
+        kind, value = d_rule
+        d_min = value if kind == "fixed" else int(round(value * n_grid[0]))
     rule = draw(st.sampled_from(["constant", "threshold_logd"]))
     sigma = draw(positive if rule == "threshold_logd" else noise_levels)
     return ExperimentConfig(
-        ball=draw(balls), sigma=sigma, n_grid=n_grid, estimator=draw(estimators),
+        ball=draw(balls_within(d_min)), sigma=sigma, n_grid=n_grid, estimator=draw(estimators),
         d_rule=d_rule, design_kind=design_kind, sigma_cov=sigma_cov,
         trials_per_cell=draw(st.integers(1, 100)), losses=draw(losses),
         seed_root=draw(st.integers(0, 2**63)),
