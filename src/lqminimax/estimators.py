@@ -1,14 +1,18 @@
 """Constrained least-squares estimators over lq-balls, plus the Lasso.
 
-q = 0 is solved exactly by support enumeration, q = 1 by projected gradient
-with a Frank-Wolfe duality-gap certificate, q in (0, 1) by multi-start
+q = 0 is solved exactly by support enumeration, q = 1 by monotone FISTA
+(Beck & Teboulle 2009, IEEE Trans. Image Process. 18) with gradient-based
+adaptive restart (O'Donoghue & Candes 2015, Found. Comput. Math. 15),
+certified by the Frank-Wolfe duality gap, q in (0, 1) by multi-start
 projected gradient with a feasibility heuristic (no global guarantee; use an
 oracle warm start in simulations), and the Lasso by cyclic coordinate
-descent.  Both projected-gradient solvers step 1/L, where L is a Lanczos
-upper bound on sigma_max(X)^2 within a factor 1 + 1e-6 of it (``_lipschitz``
-says when it can fall short).  When n >= d they form G = X^T X and c = X^T y
-once per call, d^2 + d floats on top of X, and take every gradient and
-Lanczos product from them at d^2 flops; when n < d they use products with X.
+descent.  The l1 and lq solvers step 1/L, where L is a Lanczos upper bound on
+sigma_max(X)^2 within a factor 1 + 1e-6 of it (``_lipschitz`` says when it
+can fall short).  When n >= d they form G = X^T X and c = X^T y once per
+call, d^2 + d floats on top of X, and take every gradient and Lanczos product
+from them at d^2 flops; when n < d they use products with X.  The l1 solver
+takes one such product per iteration and keeps a momentum step only if it
+does not raise the objective (see ``l1_constrained_ls``).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz, dstein
 
 from .ballgeom import ball_contains, project_l1, project_lq_heuristic
 from .errors import ParameterError, require_finite, require_rows
@@ -88,47 +92,82 @@ def _lipschitz(apply: Callable, m: int, round_off: float) -> tuple:
     steps; the latter was seen only when the top eigenvalues cluster within
     1e-5 relative, and L then fell short by less than the cluster's width.
     The zero operator gives (0.0, 1).
+
+    The basis lives in one array of 64 rows, doubled when full (never more
+    than m), and the top Ritz pair comes from the LAPACK bisection and
+    inverse iteration (dstebz, dstein) that ``eigh_tridiagonal`` runs for one
+    eigenvalue by index, called without its per-call checks.
     """
     start = np.random.default_rng(0).standard_normal(m)
-    basis = [start / np.linalg.norm(start)]
-    alphas, betas = [], []
+    basis = np.empty((min(m, 64), m))
+    basis[0] = start / np.linalg.norm(start)
+    alphas, betas = np.empty(m), np.empty(m)
     tops = [-math.inf, -math.inf]  # top Ritz value after each step
     for step in range(1, m + 1):
-        w = apply(basis[-1])
-        alphas.append(float(basis[-1] @ w))
-        V = np.array(basis)
+        w = apply(basis[step - 1])
+        alphas[step - 1] = basis[step - 1] @ w
+        V = basis[:step]
         w -= V.T @ (V @ w)
         w -= V.T @ (V @ w)  # a second pass restores orthogonality lost to round-off
         beta = float(np.linalg.norm(w))
-        theta, u = eigh_tridiagonal(np.array(alphas), np.array(betas),
-                                    select="i", select_range=(step - 1, step - 1))
-        theta = float(theta[0])
-        slack = beta * abs(float(u[-1, 0])) + round_off * theta
+        theta, u_last = _top_ritz_pair(alphas[:step], betas[:step - 1])
+        slack = beta * abs(u_last) + round_off * theta
         settled = theta - tops[-2] <= slack or beta <= round_off * theta
         if (slack <= 1e-6 * theta and settled) or step == m:
             break
         tops.append(theta)
-        betas.append(beta)
-        basis.append(w / beta)
+        betas[step - 1] = beta
+        if step == len(basis):
+            basis = np.concatenate([basis, np.empty((min(m, 2 * step) - step, m))])
+        basis[step] = w / beta
     return theta + slack, step
 
 
-def _least_squares_gradient(X: np.ndarray, y: np.ndarray) -> tuple:
-    """(half_gradient, L, steps) for the objective ||y - X b||^2: half_gradient(b)
-    is X^T (X b - y), and L the ``_lipschitz`` bound on sigma_max(X)^2.
+def _top_ritz_pair(alphas: np.ndarray, betas: np.ndarray) -> tuple:
+    """(theta, u_last): the top eigenvalue of the symmetric tridiagonal matrix
+    with diagonal ``alphas`` and off-diagonal ``betas``, and the last entry of
+    its unit eigenvector, as ``eigh_tridiagonal(select="i")`` computes them.
+    Earlier calls saw all but the last entries, so only those are checked."""
+    k = len(alphas)
+    if not math.isfinite(alphas[-1] + (betas[-1] if k > 1 else 0.0)):
+        raise ParameterError("Lanczos coefficients are not finite: X has overflowing entries")
+    if k == 1:
+        return float(alphas[0]), 1.0
+    _, w, iblock, isplit, info = dstebz(alphas, betas, 2, 0.0, 1.0, k, k, 0.0, "B")
+    if info == 0:
+        u, info = dstein(alphas, betas, w[:1], iblock, isplit)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"tridiagonal eigensolver failed (info={info})")
+    return float(w[0]), float(u[-1, 0])
 
-    When n >= d, G = X^T X and c = X^T y are formed once, half_gradient(b) is
-    G b - c and Lanczos runs on G; its round-off pad (2n + d) eps also covers
-    the rounding of G.  When n < d both use products with X, and Lanczos runs
-    on X X^T with pad (n + d) eps.
+
+def _least_squares_gradient(X: np.ndarray, y: np.ndarray) -> tuple:
+    """(half_gradient, L, steps) for the objective f(b) = ||y - X b||^2:
+    half_gradient(b) is the pair (X^T (X b - y), f(b)) from one operator
+    product, and L the ``_lipschitz`` bound on sigma_max(X)^2.
+
+    When n >= d, G = X^T X and c = X^T y are formed once, the gradient is
+    g = G b - c, f(b) = b.g - c.b + y.y, and Lanczos runs on G; its round-off
+    pad (2n + d) eps also covers the rounding of G.  When n < d the residual
+    r = X b - y gives both X^T r and r.r, and Lanczos runs on X X^T with pad
+    (n + d) eps.
     """
     n, d = X.shape
     eps = np.finfo(float).eps
     if n >= d:
-        G, c = X.T @ X, X.T @ y
-        return (lambda b: G @ b - c), *_lipschitz(G.__matmul__, d, (2 * n + d) * eps)
-    return ((lambda b: X.T @ (X @ b - y)),
-            *_lipschitz(lambda v: X @ (X.T @ v), n, (n + d) * eps))
+        G, c, yy = X.T @ X, X.T @ y, float(y @ y)
+
+        def gram_form(b):
+            g = G @ b - c
+            return g, float(b @ g - c @ b) + yy
+
+        return gram_form, *_lipschitz(G.__matmul__, d, (2 * n + d) * eps)
+
+    def x_form(b):
+        r = X @ b - y
+        return X.T @ r, float(r @ r)
+
+    return x_form, *_lipschitz(lambda v: X @ (X.T @ v), n, (n + d) * eps)
 
 
 # ---------------------------------------------------------------------------
@@ -321,22 +360,32 @@ def l1_constrained_ls(
     tol: float = 1e-8,
     record_trace: bool = False,
 ) -> EstimateResult:
-    """Projected gradient for min ||y - X b||_2^2 subject to ||b||_1 <= r1.
+    """Monotone FISTA for min f(b) = ||y - X b||_2^2 subject to ||b||_1 <= r1.
 
-    Steps 1/L along the gradient X^T (X b - y) of half the objective, with
-    sigma_max(X)^2 <= L <= (1 + 1e-6) sigma_max(X)^2 from Lanczos.  That
-    gradient is sigma_max^2-Lipschitz, and a projected-gradient step onto a
-    convex set never raises the objective when it is at most
-    2 / sigma_max^2, so the objective never increases.  Convergence is
-    certified by the Frank-Wolfe duality gap of the full objective: at exit
+    Projected steps of size 1/L along the gradient g = X^T (X b - y) of f / 2,
+    with sigma_max(X)^2 <= L <= (1 + 1e-6) sigma_max(X)^2 from Lanczos, taken
+    from the FISTA extrapolation v = x_k + m (x_k - x_{k-1}) of the kept
+    iterates (Beck & Teboulle 2009, IEEE Trans. Image Process. 18).  Each
+    iteration takes exactly one operator product, at the candidate
+    z = P(v - g(v) / L): g is affine, so g(v) = g_k + m (g_k - g_{k-1}) needs
+    none, and the product at z gives g(z) and f(z) together.  The candidate
+    is kept only if f(z) <= f(x_k), up to a tie band of (n + d) eps f(0), the
+    round-off of evaluating f; otherwise the momentum is reset and the next
+    iteration is a plain projected step from x_k, always kept, since a step
+    of at most 2 / sigma_max^2 onto a convex set cannot raise f.  The
+    momentum is also reset when (v - z).(z - x_k) > 0, the gradient restart
+    of O'Donoghue & Candes (2015, Found. Comput. Math. 15).  So no kept step
+    raises f by more than the tie band.  Convergence is certified by the Frank-Wolfe
+    duality gap at the kept iterate, from its own exact gradient: at exit
     with converged=True the objective is within tol of the constrained
-    optimum.  info holds the gap, L ("lipschitz") and the Lanczos steps
-    ("lipschitz_steps").
+    optimum.  info holds the gap, L ("lipschitz"), the Lanczos steps
+    ("lipschitz_steps") and the momentum resets ("restarts").
 
     When n >= d the gradient is G b - c from G = X^T X and c = X^T y,
-    formed once per call (d^2 + d floats), and Lanczos runs on G; when
-    n < d both use products with X.  The objective, and the trace of it
-    that ``record_trace`` keeps, is ||y - X b||^2 from X either way.
+    formed once per call (d^2 + d floats), f(b) = b.g - c.b + y.y, and
+    Lanczos runs on G; when n < d the residual X b - y gives both.  The
+    objective reported, and the trace of it that ``record_trace`` keeps, is
+    ||y - X b||^2 from X either way.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -345,7 +394,13 @@ def l1_constrained_ls(
     require_rows(X, y=y)
     require_finite(X=X, y=y)
     half_gradient, lip, lip_steps = _least_squares_gradient(X, y)
-    beta = np.zeros(X.shape[1])
+    beta = beta_prev = np.zeros(X.shape[1])
+    g, f = half_gradient(beta)
+    g_prev = g
+    # a rise below the round-off of evaluating f (which stays below f(0) = y.y) is a tie
+    tie = sum(X.shape) * np.finfo(float).eps * f
+    t = 1.0  # FISTA's momentum sequence; 1 means no momentum
+    restarts = 0
     trace = []
     converged = False
     gap = math.inf
@@ -354,20 +409,36 @@ def l1_constrained_ls(
         if record_trace:
             r = X @ beta - y
             trace.append(float(r @ r))
-        grad_half = half_gradient(beta)
-        grad = 2.0 * grad_half
+        grad = 2.0 * g
         gap = float(grad @ beta + r1 * np.max(np.abs(grad)))
         if gap <= tol:
             converged = True
             break
         if lip == 0.0:
             break
-        beta = project_l1(beta - grad_half / lip, r1)
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        m = (t - 1.0) / t_next
+        # the half gradient is affine, so at the extrapolated point v it is g + m (g - g_prev)
+        v = beta + m * (beta - beta_prev)
+        z = project_l1(v - (g + m * (g - g_prev)) / lip, r1)
+        g_z, f_z = half_gradient(z)
+        if m > 0.0 and f_z > f + tie:
+            t = 1.0  # rejected: the next iteration is a plain step from beta
+            restarts += 1
+            continue
+        if (v - z) @ (z - beta) > 0.0:
+            t = 1.0  # gradient restart: the step turned against the momentum
+            restarts += 1
+        else:
+            t = t_next
+        beta_prev, g_prev = beta, g
+        beta, g, f = z, g_z, f_z
     r = y - X @ beta
     obj = float(r @ r)
     if record_trace:
         trace.append(obj)
-    info = {"duality_gap": gap, "lipschitz": lip, "lipschitz_steps": lip_steps}
+    info = {"duality_gap": gap, "lipschitz": lip, "lipschitz_steps": lip_steps,
+            "restarts": restarts}
     if record_trace:
         info["objective_trace"] = trace
     return EstimateResult(
@@ -435,7 +506,7 @@ def lq_constrained_ls(
         consider(beta)
         for _ in range(max_iter):
             total_iters += 1
-            nxt = project_lq_heuristic(beta - step * half_gradient(beta), ball)
+            nxt = project_lq_heuristic(beta - step * half_gradient(beta)[0], ball)
             consider(nxt)
             if np.max(np.abs(nxt - beta)) <= tol:
                 any_stationary = True

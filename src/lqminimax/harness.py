@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
@@ -88,6 +89,11 @@ class ExperimentConfig(InstanceSpec):
         missing = [key for key in _ESTIMATORS[kind][0] if key not in self.estimator]
         if missing:
             raise ParameterError(f"estimator kind {kind!r} needs the keys {missing}")
+        for key in (*_ESTIMATORS[kind][0], "max_iter", "tol"):
+            admissible, rule = _ESTIMATOR_VALUES[key]
+            if key in self.estimator and not admissible(self.estimator[key]):
+                raise ParameterError(
+                    f"estimator key {key!r} must be {rule}, got {self.estimator[key]!r}")
         if (self.design_kind == "identity_sequence"
                 and tuple(self.d_rule) != ("proportional", 1.0)):
             raise ParameterError(
@@ -98,6 +104,9 @@ class ExperimentConfig(InstanceSpec):
                 raise DimensionError(
                     f"need n, d >= 1, but d_rule {self.d_rule!r} gives n={n}, d={d}")
             self.ball.validate_for_dim(d)
+            if kind == "l0" and self.estimator["s"] > d:
+                raise ParameterError(f"estimator key 's' must be at most d, got s="
+                                     f"{self.estimator['s']}, d={d} at n={n}")
         dims = {self.dim_at(n) for n in grid}
         if self.root is not None and dims != {len(self.root)}:
             raise CovarianceError(f"covariance is {len(self.root)} x {len(self.root)}, but "
@@ -209,6 +218,25 @@ _ESTIMATORS = {
         inst.X, inst.y, inst.ball, [inst.beta_star, np.zeros(inst.d)], **_solver_options(est))),
     "lasso": (("lam",), lambda est, inst: lasso(
         inst.X, inst.y, float(est["lam"]), **_solver_options(est))),
+}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+# estimator key -> (test of its value, what the test requires); an l0 ``s`` must
+# also be at most d, which the config checks at every grid point
+_ESTIMATOR_VALUES = {
+    "s": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "radius": (lambda v: _is_finite(v) and v > 0, "a finite number > 0"),
+    "lam": (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0"),
+    "max_iter": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "tol": (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0"),
 }
 
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import eigh_tridiagonal
 
-from lqminimax import supports
+from lqminimax import estimators, supports
 from lqminimax.ballgeom import project_l1
 from lqminimax.errors import DimensionError, EnumerationBudgetError, ParameterError
 from lqminimax.estimators import (
@@ -571,6 +572,13 @@ class TestLipschitz:
             eigenvalues[0] += 10.0 ** -e
             _check_lipschitz((U * np.sqrt(eigenvalues)) @ V.T)
 
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3)])
+    def test_overflowing_design_rejected(self, shape):
+        # finite entries whose products overflow give non-finite Lanczos coefficients
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ParameterError, match="Lanczos coefficients are not finite"):
+            _lipschitz(np.full(shape, 1e200))
+
     @pytest.mark.parametrize("solver", ["l1", "lq"])
     def test_solvers_report_it(self, solver):
         for shape in [(30, 12), (12, 30)]:  # Gram form and X form
@@ -579,8 +587,95 @@ class TestLipschitz:
             assert (res.info["lipschitz"], res.info["lipschitz_steps"]) == _lipschitz(X)
 
 
+def _lipschitz_eigh_tridiagonal(apply, m, round_off):
+    """Reference for ``estimators._lipschitz``, which must match it bit for bit: a
+    list basis restacked every step and the top Ritz pair from
+    ``scipy.linalg.eigh_tridiagonal``."""
+    start = np.random.default_rng(0).standard_normal(m)
+    basis = [start / np.linalg.norm(start)]
+    alphas, betas = [], []
+    tops = [-math.inf, -math.inf]
+    for step in range(1, m + 1):
+        w = apply(basis[-1])
+        alphas.append(float(basis[-1] @ w))
+        V = np.array(basis)
+        w -= V.T @ (V @ w)
+        w -= V.T @ (V @ w)
+        beta = float(np.linalg.norm(w))
+        theta, u = eigh_tridiagonal(np.array(alphas), np.array(betas),
+                                    select="i", select_range=(step - 1, step - 1))
+        theta = float(theta[0])
+        slack = beta * abs(float(u[-1, 0])) + round_off * theta
+        settled = theta - tops[-2] <= slack or beta <= round_off * theta
+        if (slack <= 1e-6 * theta and settled) or step == m:
+            break
+        tops.append(theta)
+        betas.append(beta)
+        basis.append(w / beta)
+    return theta + slack, step
+
+
+def _rotated_spectrum(m, power, seed):
+    """U diag(sqrt(1 + (i / (m - 1))^power)) U^T: the eigenvalues of its Gram matrix
+    crowd the top, so Lanczos runs long."""
+    U, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))
+    return (U * np.sqrt(1.0 + (np.arange(m) / (m - 1)) ** power)) @ U.T
+
+
+@pytest.mark.parametrize("X, min_steps", [
+    (np.random.default_rng(1).standard_normal((40, 20)), 1),  # Gram form
+    (np.random.default_rng(2).standard_normal((400, 200)), 1),
+    (np.random.default_rng(3).standard_normal((20, 40)), 1),  # X form
+    (np.random.default_rng(4).standard_normal((50, 300)), 1),
+    (3.0 * np.eye(7), 1),
+    (np.zeros((5, 3)), 1),
+    (np.zeros((3, 5)), 1),
+    (_rotated_spectrum(127, 0.5, 0), 65),  # the basis grows once, capped at m
+    (_rotated_spectrum(400, 0.25, 400), 129),  # the basis grows twice
+], ids=["gram_40x20", "gram_400x200", "x_20x40", "x_50x300", "3I", "zero_tall", "zero_wide",
+        "grow_to_m", "grow_twice"])
+def test_lanczos_matches_eigh_tridiagonal_version(X, min_steps):
+    n, d = X.shape
+    eps = np.finfo(float).eps
+    if n >= d:
+        G = X.T @ X
+        args = (G.__matmul__, d, (2 * n + d) * eps)
+    else:
+        args = (lambda v: X @ (X.T @ v), n, (n + d) * eps)
+    lip, steps = estimators._lipschitz(*args)
+    assert (lip, steps) == _lipschitz_eigh_tridiagonal(*args)
+    assert steps >= min_steps
+
+
 def _reference_l1(X, y, r1, lip, max_iter, tol):
-    """(iterations, objective) of the l1 loop with every gradient taken from X."""
+    """(iterations, objective) of the accelerated l1 loop with every product taken from X."""
+    def at(b):
+        r = X @ b - y
+        return X.T @ r, float(r @ r)
+
+    beta = beta_prev = np.zeros(X.shape[1])
+    g, f = at(beta)
+    g_prev, t, tie = g, 1.0, sum(X.shape) * np.finfo(float).eps * f
+    for it in range(1, max_iter + 1):
+        grad = 2.0 * g
+        if grad @ beta + r1 * np.max(np.abs(grad)) <= tol:
+            break
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        m = (t - 1.0) / t_next
+        v = beta + m * (beta - beta_prev)
+        z = project_l1(v - (g + m * (g - g_prev)) / lip, r1)
+        g_z, f_z = at(z)
+        if m > 0.0 and f_z > f + tie:
+            t = 1.0
+            continue
+        t = 1.0 if (v - z) @ (z - beta) > 0.0 else t_next
+        beta_prev, g_prev, beta, g, f = beta, g, z, g_z, f_z
+    r = y - X @ beta
+    return it, float(r @ r)
+
+
+def _plain_l1_iterations(X, y, r1, lip, max_iter, tol):
+    """Iterations of plain projected gradient at step 1/L to the same gap."""
     beta = np.zeros(X.shape[1])
     for it in range(1, max_iter + 1):
         grad_half = X.T @ (X @ beta - y)
@@ -588,18 +683,37 @@ def _reference_l1(X, y, r1, lip, max_iter, tol):
         if grad @ beta + r1 * np.max(np.abs(grad)) <= tol:
             break
         beta = project_l1(beta - grad_half / lip, r1)
-    r = y - X @ beta
-    return it, float(r @ r)
+    return it
+
+
+# criterion 3 instances (truth at the detection scale) and solver settings
+_CRITERION3 = InstanceSpec(ball=BallSpec(1.0, 4.0), sigma=1.0, beta_magnitude_rule="threshold_logd")
 
 
 @pytest.mark.parametrize("n", [100, 200, 400, 800])
 def test_gram_form_matches_x_form(n):
-    # criterion 3 instances (d = n / 2, truth at the detection scale) and solver settings
-    spec = InstanceSpec(ball=BallSpec(1.0, 4.0), sigma=1.0, beta_magnitude_rule="threshold_logd")
+    # d = n / 2, as in criterion 3
     for seed in range(3):
-        inst = spec.draw(n, n // 2, seed)
+        inst = _CRITERION3.draw(n, n // 2, seed)
         res = l1_constrained_ls(inst.X, inst.y, 4.0, max_iter=3000, tol=1e-6)
         iterations, objective = _reference_l1(inst.X, inst.y, 4.0, res.info["lipschitz"],
                                               max_iter=3000, tol=1e-6)
         assert res.iterations == iterations
         assert res.objective == pytest.approx(objective, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, d", [(100, 50), (200, 100), (400, 200), (800, 400), (50, 100)])
+def test_accelerated_gap_certified_from_x_and_fewer_iterations(n, d):
+    # the gap at exit, recomputed from X alone, certifies the solution; round-off
+    # allowance d eps per unit of r1 max|grad|, the scale of the gap's terms
+    for seed in range(3):
+        inst = _CRITERION3.draw(n, d, seed)
+        res = l1_constrained_ls(inst.X, inst.y, 4.0, max_iter=3000, tol=1e-6)
+        assert res.converged
+        b = res.beta_hat
+        grad = 2.0 * inst.X.T @ (inst.X @ b - inst.y)
+        scale = 4.0 * float(np.max(np.abs(grad)))
+        assert grad @ b + scale <= 1e-6 + d * np.finfo(float).eps * scale
+        plain = _plain_l1_iterations(inst.X, inst.y, 4.0, res.info["lipschitz"],
+                                     max_iter=3000, tol=1e-6)
+        assert res.iterations < plain

@@ -169,6 +169,33 @@ class TestConfig:
         with pytest.raises(ParameterError, match=message):
             ExperimentConfig.from_json_dict(doc)
 
+    @pytest.mark.parametrize("estimator, message", [
+        # the grid's d is 4 throughout
+        ({"kind": "l0", "s": 5}, r"'s' must be at most d, got s=5, d=4 at n=10"),
+        ({"kind": "l0", "s": 0}, r"'s' must be an integer >= 1, got 0"),
+        ({"kind": "l0", "s": 2.5}, r"'s' must be an integer >= 1, got 2.5"),
+        ({"kind": "l1", "radius": -1.0}, r"'radius' must be a finite number > 0, got -1.0"),
+        ({"kind": "l1", "radius": math.inf}, r"'radius' must be a finite number > 0, got inf"),
+        ({"kind": "l1", "radius": "4"}, r"'radius' must be a finite number > 0, got '4'"),
+        ({"kind": "lasso", "lam": "abc"}, r"'lam' must be a finite number >= 0, got 'abc'"),
+        ({"kind": "lasso", "lam": -0.5}, r"'lam' must be a finite number >= 0, got -0.5"),
+        ({"kind": "lasso", "lam": math.nan}, r"'lam' must be a finite number >= 0, got nan"),
+        ({"kind": "l1", "radius": 1.0, "max_iter": 0}, r"'max_iter' must be an integer >= 1, got 0"),
+        ({"kind": "lq", "max_iter": 10.5}, r"'max_iter' must be an integer >= 1, got 10.5"),
+        ({"kind": "lasso", "lam": 0.1, "tol": -1e-9}, r"'tol' must be a finite number >= 0"),
+        ({"kind": "l1", "radius": 1.0, "tol": math.nan}, r"'tol' must be a finite number >= 0"),
+    ], ids=["l0_s_above_d", "l0_s_zero", "l0_s_not_integer", "l1_radius_negative",
+            "l1_radius_infinite", "l1_radius_string", "lasso_lam_string", "lasso_lam_negative",
+            "lasso_lam_nan", "max_iter_zero", "max_iter_not_integer", "tol_negative", "tol_nan"])
+    def test_estimator_value_rejected(self, estimator, message):
+        with pytest.raises(ParameterError, match=message):
+            _tiny_config(estimator=estimator)
+
+    def test_estimator_values_at_their_bounds_accepted(self):
+        for estimator in [{"kind": "l0", "s": 4}, {"kind": "lasso", "lam": 0, "tol": 0.0},
+                          {"kind": "l1", "radius": 1e-9, "max_iter": 1}]:
+            assert _tiny_config(estimator=estimator).estimator == estimator
+
     @pytest.mark.parametrize("overrides, error, message", [
         ({"d_rule": ("proportional", 0.01), "n_grid": (10,)}, DimensionError,
          r"d_rule \('proportional', 0.01\) gives n=10, d=0"),

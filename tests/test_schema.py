@@ -37,15 +37,23 @@ losses = st.lists(
               st.just(LossSpec.prediction())),
     min_size=1, max_size=3,
 ).map(tuple)
-estimator_keys = {"s": st.integers(1, 8), "radius": positive, "lam": finite,
-                  "max_iter": st.integers(1, 10_000)}
-# a config rejects an estimator dict without the key its kind reads
+# a config rejects an estimator dict without the key its kind reads, or with an
+# inadmissible value: an l0 s outside [1, d], a radius <= 0, a negative lam or tol
 required_keys = {"l0": ("s",), "l1": ("radius",), "lq": (), "lasso": ("lam",)}
-estimators = st.sampled_from(sorted(required_keys)).flatmap(lambda kind: st.fixed_dictionaries(
-    {"kind": st.just(kind), **{key: estimator_keys[key] for key in required_keys[kind]}},
-    optional={key: value for key, value in estimator_keys.items()
-              if key not in required_keys[kind]},
-))
+
+
+def estimators_within(d: int):
+    """Estimator dicts a grid whose smallest dimension is d admits."""
+    keys = {"s": st.integers(1, min(8, d)), "radius": positive,
+            "lam": st.floats(min_value=0.0, allow_infinity=False),
+            "max_iter": st.integers(1, 10_000), "tol": st.floats(0.0, 1.0)}
+    return st.sampled_from(sorted(required_keys)).flatmap(lambda kind: st.fixed_dictionaries(
+        {"kind": st.just(kind), **{key: keys[key] for key in required_keys[kind]}},
+        optional={key: value for key, value in keys.items() if key not in required_keys[kind]},
+    ))
+
+
+estimators = estimators_within(32)  # the default d_rule fixes d = 32
 
 
 @st.composite
@@ -77,7 +85,8 @@ def configs(draw):
     rule = draw(st.sampled_from(["constant", "threshold_logd"]))
     sigma = draw(positive if rule == "threshold_logd" else noise_levels)
     return ExperimentConfig(
-        ball=draw(balls_within(d_min)), sigma=sigma, n_grid=n_grid, estimator=draw(estimators),
+        ball=draw(balls_within(d_min)), sigma=sigma, n_grid=n_grid,
+        estimator=draw(estimators_within(d_min)),
         d_rule=d_rule, design_kind=design_kind, sigma_cov=sigma_cov,
         trials_per_cell=draw(st.integers(1, 100)), losses=draw(losses),
         seed_root=draw(st.integers(0, 2**63)),
