@@ -70,7 +70,7 @@ def project_l1(theta: np.ndarray, r1: float) -> np.ndarray:
     Returns theta unchanged when feasible; otherwise soft-thresholds at the
     level that lands exactly on the boundary (Duchi et al. sort-based rule).
     """
-    if r1 <= 0:
+    if not r1 > 0:
         raise ParameterError(f"r1 must be positive, got {r1}")
     theta = np.asarray(theta, dtype=float)
     a = np.abs(theta)

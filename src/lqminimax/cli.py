@@ -39,11 +39,12 @@ def _cmd_simulate(args) -> int:
            "beta_support": np.flatnonzero(inst.beta_star).tolist()}
 
     if args.estimator != "none":
-        estimator = {"kind": args.estimator, "radius": args.radius, "lam": args.lam}
-        if args.estimator == "l0":
-            if args.s is None and ball.q != 0.0:
-                raise ParameterError(f"--estimator l0 on a q = {ball.q:g} ball needs --s")
-            estimator["s"] = ball.s if args.s is None else args.s
+        if args.estimator == "l0" and args.s is None and ball.q != 0.0:
+            raise ParameterError(f"--estimator l0 on a q = {ball.q:g} ball needs --s")
+        options = {"radius": args.radius, "lam": args.lam,
+                   "s": ball.s if args.s is None and ball.q == 0.0 else args.s}
+        estimator = {"kind": args.estimator,  # only the keys its kind needs; the solver checks them
+                     **{key: options[key] for key in harness._ESTIMATORS[args.estimator][0]}}
         result = harness._run_estimator(estimator, inst)
         check = check_basic_inequality(inst, result)
         doc["estimate"] = result.to_json_dict()

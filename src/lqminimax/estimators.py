@@ -13,11 +13,15 @@ call, d^2 + d floats on top of X, and take every gradient and Lanczos product
 from them at d^2 flops; when n < d they use products with X.  The l1 solver
 takes one such product per iteration and keeps a momentum step only if it
 does not raise the objective (see ``l1_constrained_ls``).
+
+``_PARAMETER_RULES`` states each estimator parameter's admissible values once;
+the solvers and ``ExperimentConfig`` both check through ``_check_parameters``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -40,6 +44,32 @@ __all__ = [
 ]
 
 LASSO_PATH_STEPS = 50  # penalties on the lasso's geometric warm-start ladder
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+# estimator key (the l1 solver's r1 is "radius") -> (test of its value, what it requires)
+_PARAMETER_RULES = {
+    "s": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "radius": (lambda v: _is_finite(v) and v > 0, "a finite number > 0"),
+    "lam": (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0"),
+    "max_iter": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "tol": (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0"),
+}
+
+
+def _check_parameters(**values) -> None:
+    """Raise ParameterError naming the first parameter whose value breaks its rule."""
+    for key, value in values.items():
+        admissible, rule = _PARAMETER_RULES[key]
+        if not admissible(value):
+            raise ParameterError(f"estimator key {key!r} must be {rule}, got {value!r}")
 
 
 @dataclass
@@ -241,8 +271,9 @@ def l0_least_squares(X: np.ndarray, y: np.ndarray, s: int) -> EstimateResult:
     y = np.asarray(y, dtype=float)
     require_rows(X, y=y)
     n, d = X.shape
-    if not 1 <= s <= d:
-        raise ParameterError(f"need 1 <= s <= d, got s={s}, d={d}")
+    _check_parameters(s=s)
+    if s > d:
+        raise ParameterError(f"estimator key 's' must be at most d, got s={s}, d={d}")
     require_finite(y=y)
 
     c = _scalar_identity_factor(X)
@@ -389,8 +420,7 @@ def l1_constrained_ls(
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if not 0.0 < r1 < math.inf:
-        raise ParameterError(f"r1 must be finite and positive, got {r1}")
+    _check_parameters(radius=r1, max_iter=max_iter, tol=tol)
     require_rows(X, y=y)
     require_finite(X=X, y=y)
     half_gradient, lip, lip_steps = _least_squares_gradient(X, y)
@@ -403,9 +433,7 @@ def l1_constrained_ls(
     restarts = 0
     trace = []
     converged = False
-    gap = math.inf
-    it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, max_iter + 1):  # max_iter >= 1, so gap and it are always bound
         if record_trace:
             r = X @ beta - y
             trace.append(float(r @ r))
@@ -435,12 +463,10 @@ def l1_constrained_ls(
         beta, g, f = z, g_z, f_z
     r = y - X @ beta
     obj = float(r @ r)
-    if record_trace:
-        trace.append(obj)
     info = {"duality_gap": gap, "lipschitz": lip, "lipschitz_steps": lip_steps,
             "restarts": restarts}
     if record_trace:
-        info["objective_trace"] = trace
+        info["objective_trace"] = trace + [obj]
     return EstimateResult(
         beta_hat=beta,
         objective=obj,
@@ -475,16 +501,21 @@ def lq_constrained_ls(
     including the projected starts themselves, so supplying the truth as an
     oracle warm start guarantees an objective no worse than at the truth.
     The converged flag only reports stationarity of the last run; no global
-    claim is made.
+    claim is made.  A start not of shape (d,) raises DimensionError, and one
+    with a non-finite entry ParameterError.
     """
     if not 0.0 < ball.q < 1.0:
         raise ParameterError(f"lq solver requires q in (0, 1), got {ball.q}")
     if len(starts) == 0:
         raise ParameterError("need at least one start")
+    _check_parameters(max_iter=max_iter, tol=tol)
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     require_rows(X, y=y)
     require_finite(X=X, y=y)
+    starts = {f"start {i}": np.asarray(raw, dtype=float) for i, raw in enumerate(starts)}
+    require_rows(X.T, **starts)  # X^T has d rows, so each start must have shape (d,)
+    require_finite(**starts)
     half_gradient, lip, lip_steps = _least_squares_gradient(X, y)
     step = 1.0 / lip if lip > 0 else 1.0
 
@@ -501,8 +532,8 @@ def lq_constrained_ls(
             best_obj, best_beta = obj, b.copy()
         return obj
 
-    for raw in starts:
-        beta = project_lq_heuristic(np.asarray(raw, dtype=float), ball)
+    for start in starts.values():
+        beta = project_lq_heuristic(start, ball)
         consider(beta)
         for _ in range(max_iter):
             total_iters += 1
@@ -510,7 +541,6 @@ def lq_constrained_ls(
             consider(nxt)
             if np.max(np.abs(nxt - beta)) <= tol:
                 any_stationary = True
-                beta = nxt
                 break
             beta = nxt
 
@@ -552,8 +582,7 @@ def lasso(
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if lam < 0:
-        raise ParameterError(f"lambda must be nonnegative, got {lam}")
+    _check_parameters(lam=lam, max_iter=max_iter, tol=tol)
     require_rows(X, y=y)
     require_finite(X=X, y=y)
     n, d = X.shape
@@ -570,7 +599,6 @@ def lasso(
     else:
         ladder = [lam]
 
-    converged = False
     total_sweeps = 0
     for stage_lam in ladder:
         converged = False

@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
@@ -27,6 +26,7 @@ from .conditions import in_cone
 from .errors import ConsistencyError, CovarianceError, DimensionError, ParameterError
 from .estimators import (
     EstimateResult,
+    _check_parameters,
     check_basic_inequality,
     l0_least_squares,
     l1_constrained_ls,
@@ -86,14 +86,12 @@ class ExperimentConfig(InstanceSpec):
             raise ParameterError(f"unknown d_rule {self.d_rule!r}")
         kind = self.estimator.get("kind")
         super().__post_init__(("estimator kind", kind, _ESTIMATORS))
-        missing = [key for key in _ESTIMATORS[kind][0] if key not in self.estimator]
-        if missing:
-            raise ParameterError(f"estimator kind {kind!r} needs the keys {missing}")
-        for key in (*_ESTIMATORS[kind][0], "max_iter", "tol"):
-            admissible, rule = _ESTIMATOR_VALUES[key]
-            if key in self.estimator and not admissible(self.estimator[key]):
-                raise ParameterError(
-                    f"estimator key {key!r} must be {rule}, got {self.estimator[key]!r}")
+        required, optional, _ = _ESTIMATORS[kind]
+        values = {key: value for key, value in self.estimator.items() if key != "kind"}
+        if not set(required) <= set(values) <= {*required, *optional}:
+            raise ParameterError(f"estimator kind {kind!r} needs the keys {list(required)} and "
+                                 f"takes only {[*required, *optional]}, got {list(values)}")
+        _check_parameters(**values)
         if (self.design_kind == "identity_sequence"
                 and tuple(self.d_rule) != ("proportional", 1.0)):
             raise ParameterError(
@@ -201,48 +199,23 @@ class ExperimentRun:
 # ---------------------------------------------------------------------------
 
 
-def _solver_options(est: dict) -> dict:
-    """The iteration limit and tolerance ``est`` sets; the solver's defaults stand for the rest."""
-    return {key: convert(est[key]) for key, convert in (("max_iter", int), ("tol", float))
-            if key in est}
-
-
-# estimator kind -> (keys the estimator dict must hold, solver of the instance given
-# the dict); lq starts from the truth and from zero (an oracle warm start, so its
-# objective is never worse than at the truth) and reads the ball from the instance
+# estimator kind -> (keys its dict must hold, further keys it may hold, solver given
+# the instance and those keys); lq starts from the truth and from zero (an oracle warm
+# start: its objective is never worse than at the truth) and reads the instance's ball
 _ESTIMATORS = {
-    "l0": (("s",), lambda est, inst: l0_least_squares(inst.X, inst.y, int(est["s"]))),
-    "l1": (("radius",), lambda est, inst: l1_constrained_ls(
-        inst.X, inst.y, float(est["radius"]), **_solver_options(est))),
-    "lq": ((), lambda est, inst: lq_constrained_ls(
-        inst.X, inst.y, inst.ball, [inst.beta_star, np.zeros(inst.d)], **_solver_options(est))),
-    "lasso": (("lam",), lambda est, inst: lasso(
-        inst.X, inst.y, float(est["lam"]), **_solver_options(est))),
-}
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
-# estimator key -> (test of its value, what the test requires); an l0 ``s`` must
-# also be at most d, which the config checks at every grid point
-_ESTIMATOR_VALUES = {
-    "s": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    "radius": (lambda v: _is_finite(v) and v > 0, "a finite number > 0"),
-    "lam": (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0"),
-    "max_iter": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    "tol": (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0"),
+    "l0": (("s",), (), lambda inst, s: l0_least_squares(inst.X, inst.y, s)),
+    "l1": (("radius",), ("max_iter", "tol"),
+           lambda inst, radius, **opts: l1_constrained_ls(inst.X, inst.y, radius, **opts)),
+    "lq": ((), ("max_iter", "tol"), lambda inst, **opts: lq_constrained_ls(
+        inst.X, inst.y, inst.ball, [inst.beta_star, np.zeros(inst.d)], **opts)),
+    "lasso": (("lam",), ("max_iter", "tol"),
+              lambda inst, lam, **opts: lasso(inst.X, inst.y, lam, **opts)),
 }
 
 
 def _run_estimator(est: dict, inst: ProblemInstance) -> EstimateResult:
-    """Run the estimator described by ``est`` on ``inst``."""
-    return _ESTIMATORS[est["kind"]][1](est, inst)
+    """Run the estimator described by ``est`` on ``inst``; its keys but the kind go to the solver."""
+    return _ESTIMATORS[est["kind"]][2](inst, **{k: v for k, v in est.items() if k != "kind"})
 
 
 def _run_trial(config: ExperimentConfig, n: int, d: int, trial: int) -> TrialRecord:
@@ -490,10 +463,8 @@ def corollary1_experiment(
         raise ParameterError(f"need at least 3 grid points, got {len(n_grid)}")
     if not 0.0 < tau < math.inf:
         raise ParameterError(f"tau (the config's sigma) must be finite and positive, got {tau}")
-    if ball.q == 0.0:
-        estimator = {"kind": "l0", "s": ball.s}
-    else:
-        estimator = {"kind": "l1", "radius": ball.radius}
+    estimator = ({"kind": "l0", "s": ball.s} if ball.q == 0.0
+                 else {"kind": "l1", "radius": ball.radius})
     config = ExperimentConfig(ball=ball, sigma=tau, n_grid=tuple(n_grid),
                               estimator=estimator, d_rule=("proportional", 1.0),
                               design_kind="identity_sequence",

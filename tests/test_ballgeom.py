@@ -55,6 +55,12 @@ class TestProjectL1:
     def test_single_spike(self):
         assert np.allclose(project_l1(np.array([3.0, 0.0]), 1.0), [1.0, 0.0])
 
+    def test_nan_radius_rejected(self):
+        theta = np.array([3.0, -1.0])
+        with pytest.raises(ParameterError, match="r1 must be positive, got nan"):
+            project_l1(theta, math.nan)
+        assert np.array_equal(project_l1(theta, math.inf), theta)  # inf is no constraint
+
     def test_two_coord_case_vs_oracle(self):
         got = project_l1(np.array([2.0, 1.0]), 1.0)
         oracle = _project_l1_oracle(np.array([2.0, 1.0]), 1.0)

@@ -285,7 +285,7 @@ def test_misshaped_input_rejected(solver, X_shape, y_shape):
 class TestL1Constrained:
     @pytest.mark.parametrize("r1", [0.0, math.nan, math.inf])
     def test_radius_must_be_finite_and_positive(self, r1):
-        with pytest.raises(ParameterError, match="r1 must be finite and positive"):
+        with pytest.raises(ParameterError, match="'radius' must be a finite number > 0"):
             l1_constrained_ls(np.eye(2), np.ones(2), r1=r1)
 
     def test_interior_truth_noiseless(self):
@@ -395,6 +395,16 @@ class TestLqConstrained:
     def test_empty_starts_rejected(self):
         with pytest.raises(ParameterError):
             lq_constrained_ls(np.eye(2), np.zeros(2), BallSpec(0.5, 1.0), starts=[])
+
+    def test_misshaped_start_rejected(self):
+        X = np.random.default_rng(3).standard_normal((10, 8))
+        with pytest.raises(DimensionError, match=r"start 1 has shape \(7,\), expected \(8,\)"):
+            lq_constrained_ls(X, np.ones(10), BallSpec(0.5, 1.0), [np.zeros(8), np.zeros(7)])
+
+    def test_nonfinite_start_rejected(self):
+        X = np.random.default_rng(3).standard_normal((10, 8))
+        with pytest.raises(ParameterError, match="start 0 has non-finite entries"):
+            lq_constrained_ls(X, np.ones(10), BallSpec(0.5, 1.0), [np.full(8, np.nan)])
 
 
 class TestLasso:

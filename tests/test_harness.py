@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -220,6 +221,58 @@ class TestConfig:
             ExperimentConfig.from_json_dict(doc)
 
 
+# each kind's solver called directly, with the estimator dict's keys as keywords
+_DIRECT_SOLVERS = {
+    "l0": lambda X, y, s: l0_least_squares(X, y, s),
+    "l1": lambda X, y, radius, **opts: l1_constrained_ls(X, y, radius, **opts),
+    "lq": lambda X, y, **opts: lq_constrained_ls(X, y, BallSpec(0.5, 1.0),
+                                                 [np.zeros(X.shape[1])], **opts),
+    "lasso": lambda X, y, lam, **opts: lasso(X, y, lam, **opts),
+}
+_REQUIRED_VALUES = {"l0": {"s": 1}, "l1": {"radius": 1.0}, "lq": {}, "lasso": {"lam": 0.1}}
+
+
+class TestEstimatorContract:
+    """Direct solver calls, configs and the CLI refuse the same estimator values."""
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("lasso", "lam", math.nan), ("lasso", "lam", math.inf), ("lasso", "lam", -1.0),
+        ("l1", "tol", math.nan), ("lq", "tol", math.nan), ("lasso", "tol", math.nan),
+        ("l1", "max_iter", 0), ("lq", "max_iter", 0), ("lasso", "max_iter", 0),
+        ("l0", "s", 2.0), ("l0", "s", True), ("l1", "radius", math.nan),
+    ])
+    def test_solver_and_config_refuse_alike(self, kind, key, value):
+        rng = np.random.default_rng(4)
+        X, y = rng.standard_normal((10, 4)), rng.standard_normal(10)
+        values = {**_REQUIRED_VALUES[kind], key: value}
+        with pytest.raises(ParameterError) as direct:
+            _DIRECT_SOLVERS[kind](X, y, **values)
+        ball = BallSpec(0.5, 1.0) if kind == "lq" else BallSpec(0.0, 1)
+        with pytest.raises(ParameterError) as config:
+            _tiny_config(ball=ball, estimator={"kind": kind, **values})
+        assert repr(key) in str(direct.value)
+        assert str(direct.value) == str(config.value)
+
+    def test_simulate_refuses_a_nan_lambda(self):
+        with pytest.raises(ParameterError, match=r"'lam' must be a finite number >= 0, got nan"):
+            cli_main(["simulate", "--n", "20", "--d", "8", "--q", "1", "--radius", "2",
+                      "--estimator", "lasso", "--lambda", "nan"])
+
+    @pytest.mark.parametrize("estimator, accepted", [
+        ({"kind": "l1", "radius": 1.0, "maxiter": 10}, ["radius", "max_iter", "tol"]),
+        ({"kind": "l0", "s": 1, "max_iter": 10}, ["s"]),
+        ({"kind": "lasso", "lam": 0.1, "radius": 1.0}, ["lam", "max_iter", "tol"]),
+    ], ids=["misspelt_max_iter", "l0_max_iter", "lasso_radius"])
+    def test_config_refuses_a_key_its_kind_does_not_take(self, estimator, accepted):
+        message = re.escape(f"takes only {accepted}")
+        with pytest.raises(ParameterError, match=message):
+            _tiny_config(estimator=estimator)
+        doc = _tiny_config().to_json_dict()
+        doc["estimator"] = estimator
+        with pytest.raises(ParameterError, match=message):
+            ExperimentConfig.from_json_dict(doc)
+
+
 class TestRunRiskExperiment:
     def test_record_count_and_determinism(self):
         cfg = _tiny_config()
@@ -273,7 +326,8 @@ class TestRunRiskExperiment:
         ball = BallSpec(0.5, 1.5)
         X = generate_design(DesignSpec("standard_gaussian", 20, 6, seed=1))
         inst = simulate(X, generate_sparse_beta(ball, 6, seed=2), 0.1, seed=3, ball=ball)
-        est = {"kind": kind, "radius": 1.5, "lam": 0.05, "max_iter": 1, "tol": 1e-3}
+        est = {"kind": kind, **{"l1": {"radius": 1.5}, "lq": {}, "lasso": {"lam": 0.05}}[kind],
+               "max_iter": 1, "tol": 1e-3}
         got = harness._run_estimator(est, inst)
         assert got.to_json_dict() == solve(inst).to_json_dict()
         del est["max_iter"], est["tol"]  # the solver's own defaults
@@ -690,7 +744,7 @@ class TestCli:
         assert cli_main(argv + ["--s", "1"]) == 0
         assert np.count_nonzero(json.loads(capsys.readouterr().out)["estimate"]["beta_hat"]) == 1
         # --s 0 is an explicit budget, not a missing one
-        with pytest.raises(ParameterError, match="need 1 <= s <= d"):
+        with pytest.raises(ParameterError, match="'s' must be an integer >= 1, got 0"):
             cli_main(argv + ["--s", "0"])
         with pytest.raises(ParameterError, match="needs --s"):
             cli_main(["simulate", "--n", "20", "--d", "6", "--q", "0.5", "--radius", "2",

@@ -37,8 +37,9 @@ losses = st.lists(
               st.just(LossSpec.prediction())),
     min_size=1, max_size=3,
 ).map(tuple)
-# a config rejects an estimator dict without the key its kind reads, or with an
-# inadmissible value: an l0 s outside [1, d], a radius <= 0, a negative lam or tol
+# a config rejects an estimator dict without the key its kind reads, with a key its
+# kind does not take (l0 takes no max_iter or tol), or with an inadmissible value:
+# an l0 s outside [1, d], a radius <= 0, a negative lam or tol
 required_keys = {"l0": ("s",), "l1": ("radius",), "lq": (), "lasso": ("lam",)}
 
 
@@ -49,7 +50,7 @@ def estimators_within(d: int):
             "max_iter": st.integers(1, 10_000), "tol": st.floats(0.0, 1.0)}
     return st.sampled_from(sorted(required_keys)).flatmap(lambda kind: st.fixed_dictionaries(
         {"kind": st.just(kind), **{key: keys[key] for key in required_keys[kind]}},
-        optional={key: value for key, value in keys.items() if key not in required_keys[kind]},
+        optional={key: keys[key] for key in ("max_iter", "tol") if kind != "l0"},
     ))
 
 
