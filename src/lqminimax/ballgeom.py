@@ -21,7 +21,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .errors import ConsistencyError, ParameterError
+from .errors import ConsistencyError, ParameterError, require_scalars
 from .linmodel import BallSpec
 from .supports import check_budget, support_chunks
 
@@ -136,10 +136,9 @@ def truncation_inequality(theta: np.ndarray, rq: float, q: float, tau: float) ->
     Valid for theta in B_q(2 Rq) and any tau > 0; raises when theta is
     infeasible for the doubled ball.
     """
+    require_scalars("positive", rq=rq, tau=tau)
     if not 0.0 < q <= 1.0:
         raise ParameterError(f"q must lie in (0, 1], got {q}")
-    if tau <= 0:
-        raise ParameterError(f"tau must be positive, got {tau}")
     theta = np.asarray(theta, dtype=float)
     if float(np.sum(np.abs(theta) ** q)) > 2.0 * rq + 1e-10:
         raise ParameterError("theta lies outside B_q(2 Rq)")
@@ -223,6 +222,7 @@ def hamming_packing(d: int, s: int) -> PackingResult:
     the result is a maximal packing, a counting argument over Hamming balls
     guarantees cardinality at least exp((s/2) log((d-s)/(s/2))).
     """
+    require_scalars("count", d=d, s=s)
     if s % 2 != 0 or not 2 <= s <= d:
         raise ParameterError(f"need even s with 2 <= s <= d, got s={s}, d={d}")
     check_budget(math.comb(d, s) * 2**s)
@@ -249,8 +249,8 @@ def rescale_hypercube_packing(packing: PackingResult, delta_n: float, s: int) ->
     check runs on the integer squared distances of the ternary points, so it
     is exact.
     """
-    if not 0.0 < delta_n < math.inf:
-        raise ParameterError(f"delta_n must be finite and positive, got {delta_n}")
+    require_scalars("positive", delta_n=delta_n)
+    require_scalars("count", s=s)
     if packing.metric != "hamming":
         raise ParameterError("rescale expects a Hamming hypercube packing")
     pts = packing.points
@@ -283,8 +283,7 @@ def greedy_pack(
     fixed seed) before calling if order bias matters.  Hamming scans keep the
     candidates' dtype (they only compare entries); the points come out float.
     """
-    if not 0.0 < delta < math.inf:
-        raise ParameterError(f"delta must be finite and positive, got {delta}")
+    require_scalars("positive", delta=delta)
     if metric not in _METRICS:
         raise ParameterError(f"unknown metric {metric!r} (known: {', '.join(_METRICS)})")
     distances = _METRICS[metric][1]
@@ -337,8 +336,7 @@ class EntropyBoundParams:
     nu: float = 0.5
 
     def __post_init__(self):
-        if self.U_const <= 0 or self.L_const <= 0:
-            raise ParameterError("entropy constants must be positive")
+        require_scalars("positive", U_const=self.U_const, L_const=self.L_const)
         if self.L_const > self.U_const:
             raise ParameterError(
                 f"need L <= U, got L={self.L_const}, U={self.U_const}"
@@ -368,6 +366,7 @@ def entropy_bounds(
     lower bound is only claimed on the restricted range eps < 1 and
     eps^p >= (log d / d^nu)^{(p-q)/q}; ``lower_valid`` reports that check.
     """
+    require_scalars("positive", p=p, rq=rq, d=d, epsilon=epsilon)
     if not 0.0 < q <= 1.0:
         raise ParameterError(f"entropy hypothesis violated: q in (0, 1] required, got {q}")
     if p <= q:
@@ -400,8 +399,7 @@ def qconvex_entropy_bound(
     Same shape as the p = 2 ball bound with epsilon replaced by
     epsilon / kappa_c: U2 Rq^{2/(2-q)} (kappa_c/eps)^{2q/(2-q)} log d.
     """
+    require_scalars("positive", rq=rq, d=d, epsilon=epsilon, kappa_c=kappa_c, u2=u2)
     if not 0.0 < q <= 1.0:
         raise ParameterError(f"q must lie in (0, 1], got {q}")
-    if kappa_c <= 0 or epsilon <= 0:
-        raise ParameterError("kappa_c and epsilon must be positive")
     return u2 * rq ** (2.0 / (2.0 - q)) * (kappa_c / epsilon) ** (2.0 * q / (2.0 - q)) * math.log(d)

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ParameterError, require_finite, require_rows
+from .errors import ParameterError, require_finite, require_rows, require_scalars
 from .supports import support_chunks
 
 __all__ = [
@@ -58,11 +58,9 @@ class RateQuery:
     def __post_init__(self):
         if self.theorem not in THEOREMS:
             raise ParameterError(f"unknown theorem {self.theorem!r}")
-        if self.n < 1:
-            raise ParameterError("n must be positive")
-        if not (0.0 < self.sigma < math.inf and 0.0 < self.radius < math.inf):
-            raise ParameterError(
-                f"sigma and radius must be finite and positive, got {self.sigma}, {self.radius}")
+        require_scalars("count", n=self.n)
+        require_scalars("positive", sigma=self.sigma, radius=self.radius)
+        require_scalars("nonnegative", diam_term=self.diam_term)
         if not 0.0 <= self.q <= 1.0:
             raise ParameterError(f"q must lie in [0, 1], got {self.q}")
         if not 1.0 <= self.p < math.inf:
@@ -162,8 +160,8 @@ def minimax_rate(query: RateQuery) -> float:
         v = getattr(query, name)
         if v is None:
             raise ParameterError(f"{query.theorem} needs parameter {name!r}")
-        if name.startswith("kappa") and v <= 0:
-            raise ParameterError(f"{name} must be positive, got {v}")
+        # d <= 1 is left to the log term check, which names the term
+        require_scalars("finite" if name == "d" else "positive", **{name: v})
     return rate.value(query, float(query.constants["c"]) if rate.generic else 1.0)
 
 
@@ -186,10 +184,11 @@ class FanoParams:
     c_route: float = 1.0  # covering-argument constant, unspecified by the theory
 
     def __post_init__(self):
-        if self.log_pack <= 0:
-            raise ParameterError(f"log_pack must be positive, got {self.log_pack}")
-        if self.delta_n <= 0 or self.epsilon_n <= 0 or self.sigma <= 0:
-            raise ParameterError("delta_n, epsilon_n, sigma must be positive")
+        require_scalars("positive", delta_n=self.delta_n, epsilon_n=self.epsilon_n,
+                        log_pack=self.log_pack, sigma=self.sigma, kappa_c=self.kappa_c,
+                        c_route=self.c_route)
+        require_scalars("nonnegative", log_cover=self.log_cover)
+        require_scalars("count", n=self.n)
 
 
 def fano_error_bound(params: FanoParams) -> float:
@@ -225,10 +224,8 @@ class ChiSquareTails:
 
 
 def chi_square_tails(m: int, x: float) -> ChiSquareTails:
-    if m < 1:
-        raise ParameterError(f"degrees of freedom must be >= 1, got {m}")
-    if x <= 0:
-        raise ParameterError(f"x must be positive, got {x}")
+    require_scalars("count", m=m)
+    require_scalars("positive", x=x)
     dev = 2.0 * math.sqrt(m * x)
     return ChiSquareTails(
         upper_threshold=m + dev + 2.0 * x,
@@ -256,8 +253,8 @@ def sup_correlation_exact(X: np.ndarray, w: np.ndarray, s: int, r: float) -> flo
     X = np.asarray(X, dtype=float)
     w = np.asarray(w, dtype=float)
     require_rows(X, w=w)
-    if s < 1 or r < 0:
-        raise ParameterError("need s >= 1 and r >= 0")
+    require_scalars("count", s=s)
+    require_scalars("nonnegative", r=r)
     require_finite(X=X, w=w)
     z_sq = (X.T @ w) ** 2
     k = min(2 * s, X.shape[1])
@@ -276,8 +273,8 @@ def sup_correlation_pred_exact(X: np.ndarray, w: np.ndarray, s: int, r: float) -
     w = np.asarray(w, dtype=float)
     require_rows(X, w=w)
     n, d = X.shape
-    if s < 1 or r < 0:
-        raise ParameterError("need s >= 1 and r >= 0")
+    require_scalars("count", s=s)
+    require_scalars("nonnegative", r=r)
     require_finite(X=X, w=w)
     level = min(2 * s, d)
     best = 0.0
@@ -304,7 +301,8 @@ class LogBinomial:
 def log_binomial(d: int, s: int) -> LogBinomial:
     """Exact log C(d, s) via log-gamma, with the standard bracketing."""
     from scipy.special import gammaln  # deferred: a slow import few callers need
-    if not 0 <= s <= d:
+    require_scalars("index", d=d, s=s)
+    if s > d:
         raise ParameterError(f"need 0 <= s <= d, got s={s}, d={d}")
     value = float(gammaln(d + 1) - gammaln(s + 1) - gammaln(d - s + 1))
     if s == 0:

@@ -186,7 +186,7 @@ def _cmd_rates(args) -> int:
         name = _RATE_PARAMS[key]
         if name in values:
             raise ParameterError(f"--params sets {name} twice")
-        values[name] = int(value) if name in ("n", "d") else value
+        values[name] = int(value) if name == "n" and value.is_integer() else value  # d is real
     if "n" not in values:
         raise ParameterError("--params needs n")
     query = bounds.RateQuery(theorem=args.theorem, constants=constants, **values)

@@ -20,7 +20,8 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import null_space
 
-from .errors import ConsistencyError, DimensionError, ParameterError, require_finite
+from .errors import (ConsistencyError, DimensionError, ParameterError, require_finite,
+                     require_scalars)
 from .linmodel import BallSpec, DesignSpec
 from .supports import support_chunks
 
@@ -99,6 +100,7 @@ def sparse_spectrum(X: np.ndarray, s: int) -> tuple[float, float]:
     Equals the min and max of ||X theta||_2 / (sqrt(n) ||theta||_2) over
     2s-sparse theta.  Exact; raises when C(d, 2s) exceeds the budget.
     """
+    require_scalars("count", s=s)
     X = np.asarray(X, dtype=float)
     require_finite(X=X)
     kappa_l, kappa_u, _ = _sparse_scan(X, 2 * s)
@@ -107,10 +109,11 @@ def sparse_spectrum(X: np.ndarray, s: int) -> tuple[float, float]:
 
 def sparse_min_singular(X: np.ndarray, level: int) -> float:
     """min over supports |S| = level of sigma_min(X_S) / sqrt(n)."""
+    require_scalars("count", level=level)
     X = np.asarray(X, dtype=float)
     require_finite(X=X)
     n, d = X.shape
-    if not 1 <= level <= d:
+    if level > d:
         raise ParameterError(f"need 1 <= level <= d, got {level}")
     if level > n:
         return 0.0
@@ -123,6 +126,7 @@ def kernel_trivial_zero(X: np.ndarray, s: int) -> bool:
     Rank is judged on singular values with a 1e-10 relative cutoff per
     submatrix.  2s > n forces rank deficiency, hence False.
     """
+    require_scalars("count", s=s)
     X = np.asarray(X, dtype=float)
     require_finite(X=X)
     n, d = X.shape
@@ -142,10 +146,8 @@ class REParams:
     c0: float
 
     def __post_init__(self):
-        if self.s < 1 or self.s != int(self.s):
-            raise ParameterError(f"s must be a positive integer, got {self.s}")
-        if self.c0 < 0:
-            raise ParameterError(f"c0 must be nonnegative, got {self.c0}")
+        require_scalars("count", s=self.s)
+        require_scalars("nonnegative", c0=self.c0)
 
 
 @dataclass(frozen=True)
@@ -226,6 +228,7 @@ def re_constant(
     """
     if mode not in ("sampled", "exact_tiny"):
         raise ParameterError(f"unknown mode {mode!r}")
+    require_scalars("index", n_samples=n_samples)
     X = np.asarray(X, dtype=float)
     require_finite(X=X)
     n, d = X.shape
@@ -325,6 +328,7 @@ def kernel_diameter(
     """
     if not p >= 1.0:
         raise ParameterError(f"kernel_diameter needs p >= 1, got {p}")
+    require_scalars("index", n_samples=n_samples)
     X = np.asarray(X, dtype=float)
     require_finite(X=X)
     if ball.q == 0.0:
@@ -390,6 +394,7 @@ def verify_prop1(
     """
     if spec.kind == "identity_sequence":
         raise ParameterError("verify_prop1 needs a Gaussian row ensemble")
+    require_scalars("count", n_draws=n_draws, n_directions=n_directions)
     n, d = spec.n, spec.d
     root = np.eye(d) if spec.root is None else spec.root
     rho = 1.0 if spec.root is None else float(np.max(np.diag(spec.sigma_cov)))
@@ -466,6 +471,8 @@ def diagnose(
     seed: int = 0,
 ) -> DesignDiagnostics:
     """Measure every design constant at sparsity level s (spectrum at 2s)."""
+    params = REParams(s=s, c0=c0)  # checks s and c0 before any scan
+    require_scalars("index", n_samples=n_samples)
     X = np.asarray(X, dtype=float)
     require_finite(X=X)
     if ball is None:
@@ -478,7 +485,7 @@ def diagnose(
     else:
         diam2 = kernel_diameter(X, ball, p=2.0, n_samples=n_samples, seed=seed)
     mode = "exact_tiny" if X.shape[1] <= 12 else "sampled"
-    re = re_constant(X, REParams(s=s, c0=c0), mode=mode, n_samples=n_samples, seed=seed)
+    re = re_constant(X, params, mode=mode, n_samples=n_samples, seed=seed)
     return DesignDiagnostics(
         kappa_c=column_norm_constant(X),
         kappa_l=kappa_l,

@@ -1,4 +1,11 @@
-"""Exception types shared across the package, and the input checks that raise them."""
+"""Exception types shared across the package, and the input checks that raise them.
+
+``SCALAR_RULES`` is the one table of scalar rules; public entry points check their
+scalar arguments against it through ``require_scalars``.
+"""
+
+import math
+import numbers
 
 import numpy as np
 
@@ -25,6 +32,32 @@ class EnumerationBudgetError(ValueError):
 
 class ConsistencyError(RuntimeError):
     """Raised when an internally certified quantity fails its own certificate."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+# scalar rule -> (test of a value, what it requires); none takes a bool, NaN or inf
+SCALAR_RULES = {
+    "count": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "index": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "positive": (lambda v: _is_finite(v) and v > 0, "a finite number > 0"),
+    "nonnegative": (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0"),
+    "finite": (_is_finite, "a finite number"),
+}
+
+
+def require_scalars(rule: str, **values) -> None:
+    """Raise ParameterError naming the first value that breaks ``SCALAR_RULES[rule]``."""
+    admissible, requirement = SCALAR_RULES[rule]
+    for name, value in values.items():
+        if not admissible(value):
+            raise ParameterError(f"{name!r} must be {requirement}, got {value!r}")
 
 
 def require_finite(**arrays) -> None:

@@ -14,14 +14,14 @@ from them at d^2 flops; when n < d they use products with X.  The l1 solver
 takes one such product per iteration and keeps a momentum step only if it
 does not raise the objective (see ``l1_constrained_ls``).
 
-``_PARAMETER_RULES`` states each estimator parameter's admissible values once;
-the solvers and ``ExperimentConfig`` both check through ``_check_parameters``.
+``_PARAMETER_RULES`` names each estimator parameter's rule in
+``errors.SCALAR_RULES``; the solvers and ``ExperimentConfig`` both check
+through it, and l0's s <= d through ``_check_s_fits``.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg.lapack import dstebz, dstein
 
 from .ballgeom import ball_contains, project_l1, project_lq_heuristic
-from .errors import ParameterError, require_finite, require_rows
+from .errors import ParameterError, require_finite, require_rows, require_scalars
 from .linmodel import BallSpec, ProblemInstance
 from .supports import check_budget, support_chunks
 
@@ -46,30 +46,15 @@ __all__ = [
 LASSO_PATH_STEPS = 50  # penalties on the lasso's geometric warm-start ladder
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+# estimator key (the l1 solver's r1 is "radius") -> its rule in errors.SCALAR_RULES
+_PARAMETER_RULES = {"s": "count", "radius": "positive", "lam": "nonnegative",
+                    "max_iter": "count", "tol": "nonnegative"}
 
 
-def _is_finite(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
-# estimator key (the l1 solver's r1 is "radius") -> (test of its value, what it requires)
-_PARAMETER_RULES = {
-    "s": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    "radius": (lambda v: _is_finite(v) and v > 0, "a finite number > 0"),
-    "lam": (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0"),
-    "max_iter": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    "tol": (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0"),
-}
-
-
-def _check_parameters(**values) -> None:
-    """Raise ParameterError naming the first parameter whose value breaks its rule."""
-    for key, value in values.items():
-        admissible, rule = _PARAMETER_RULES[key]
-        if not admissible(value):
-            raise ParameterError(f"estimator key {key!r} must be {rule}, got {value!r}")
+def _check_s_fits(s: int, d: int, at: str = "") -> None:
+    """Raise ParameterError unless l0's budget s is at most d; ``at`` names the grid point."""
+    if s > d:
+        raise ParameterError(f"'s' must be at most d, got s={s}, d={d}{at}")
 
 
 @dataclass
@@ -271,9 +256,8 @@ def l0_least_squares(X: np.ndarray, y: np.ndarray, s: int) -> EstimateResult:
     y = np.asarray(y, dtype=float)
     require_rows(X, y=y)
     n, d = X.shape
-    _check_parameters(s=s)
-    if s > d:
-        raise ParameterError(f"estimator key 's' must be at most d, got s={s}, d={d}")
+    require_scalars(_PARAMETER_RULES["s"], s=s)
+    _check_s_fits(s, d)
     require_finite(y=y)
 
     c = _scalar_identity_factor(X)
@@ -420,7 +404,9 @@ def l1_constrained_ls(
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    _check_parameters(radius=r1, max_iter=max_iter, tol=tol)
+    require_scalars(_PARAMETER_RULES["radius"], radius=r1)
+    require_scalars(_PARAMETER_RULES["max_iter"], max_iter=max_iter)
+    require_scalars(_PARAMETER_RULES["tol"], tol=tol)
     require_rows(X, y=y)
     require_finite(X=X, y=y)
     half_gradient, lip, lip_steps = _least_squares_gradient(X, y)
@@ -508,7 +494,8 @@ def lq_constrained_ls(
         raise ParameterError(f"lq solver requires q in (0, 1), got {ball.q}")
     if len(starts) == 0:
         raise ParameterError("need at least one start")
-    _check_parameters(max_iter=max_iter, tol=tol)
+    require_scalars(_PARAMETER_RULES["max_iter"], max_iter=max_iter)
+    require_scalars(_PARAMETER_RULES["tol"], tol=tol)
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     require_rows(X, y=y)
@@ -582,7 +569,9 @@ def lasso(
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    _check_parameters(lam=lam, max_iter=max_iter, tol=tol)
+    require_scalars(_PARAMETER_RULES["lam"], lam=lam)
+    require_scalars(_PARAMETER_RULES["max_iter"], max_iter=max_iter)
+    require_scalars(_PARAMETER_RULES["tol"], tol=tol)
     require_rows(X, y=y)
     require_finite(X=X, y=y)
     n, d = X.shape

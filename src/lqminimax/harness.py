@@ -23,10 +23,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .conditions import in_cone
-from .errors import ConsistencyError, CovarianceError, DimensionError, ParameterError
+from .errors import (ConsistencyError, CovarianceError, DimensionError, ParameterError,
+                     require_scalars)
 from .estimators import (
+    _PARAMETER_RULES,
     EstimateResult,
-    _check_parameters,
+    _check_s_fits,
     check_basic_inequality,
     l0_least_squares,
     l1_constrained_ls,
@@ -76,14 +78,18 @@ class ExperimentConfig(InstanceSpec):
     enforce_scaling: bool = False
 
     def __post_init__(self):
+        for f in fields(self):  # stored as Python numbers, so that the config serialises
+            object.__setattr__(self, f.name, _python_scalars(getattr(self, f.name)))
         grid = tuple(int(n) for n in self.n_grid)
         object.__setattr__(self, "n_grid", grid)
         if any(b >= a for a, b in zip(grid[1:], grid)):
             raise ParameterError(f"n_grid must be strictly increasing, got {grid}")
-        if self.trials_per_cell < 1:
-            raise ParameterError("need at least one trial per cell")
+        require_scalars("count", trials_per_cell=self.trials_per_cell)
+        require_scalars("index", seed_root=self.seed_root)
+        require_scalars("finite", kappa_exponent=self.kappa_exponent)
         if self.d_rule[0] not in ("fixed", "proportional"):
             raise ParameterError(f"unknown d_rule {self.d_rule!r}")
+        require_scalars("count" if self.d_rule[0] == "fixed" else "positive", d_rule=self.d_rule[1])
         kind = self.estimator.get("kind")
         super().__post_init__(("estimator kind", kind, _ESTIMATORS))
         required, optional, _ = _ESTIMATORS[kind]
@@ -91,7 +97,8 @@ class ExperimentConfig(InstanceSpec):
         if not set(required) <= set(values) <= {*required, *optional}:
             raise ParameterError(f"estimator kind {kind!r} needs the keys {list(required)} and "
                                  f"takes only {[*required, *optional]}, got {list(values)}")
-        _check_parameters(**values)
+        for key, value in values.items():
+            require_scalars(_PARAMETER_RULES[key], **{key: value})
         if (self.design_kind == "identity_sequence"
                 and tuple(self.d_rule) != ("proportional", 1.0)):
             raise ParameterError(
@@ -102,9 +109,8 @@ class ExperimentConfig(InstanceSpec):
                 raise DimensionError(
                     f"need n, d >= 1, but d_rule {self.d_rule!r} gives n={n}, d={d}")
             self.ball.validate_for_dim(d)
-            if kind == "l0" and self.estimator["s"] > d:
-                raise ParameterError(f"estimator key 's' must be at most d, got s="
-                                     f"{self.estimator['s']}, d={d} at n={n}")
+            if kind == "l0":
+                _check_s_fits(self.estimator["s"], d, f" at n={n}")
         dims = {self.dim_at(n) for n in grid}
         if self.root is not None and dims != {len(self.root)}:
             raise CovarianceError(f"covariance is {len(self.root)} x {len(self.root)}, but "
@@ -138,20 +144,47 @@ class ExperimentConfig(InstanceSpec):
                       for name, value in doc.items()})
 
 
-_JSON_SCALARS = {"float": float, "int": int, "bool": bool, "dict": dict, "tuple": tuple}
+def _python_scalars(value):
+    """``value`` with each numpy scalar in it, inside tuples and dicts too, a Python number."""
+    if isinstance(value, tuple):
+        return tuple(_python_scalars(v) for v in value)
+    if isinstance(value, dict):
+        return {k: _python_scalars(v) for k, v in value.items()}
+    return value.item() if isinstance(value, np.generic) else value
+
+
+# field type -> (Python types of the JSON values it takes, their JSON name, conversion);
+# JSON true and false load as bools, which are ints too, so only a bool field takes them
+_JSON_TYPES = {"float": ((int, float), "number", float), "int": (int, "integer", int),
+               "bool": (bool, "true or false", bool), "dict": (dict, "object", dict),
+               "tuple": (list, "array", tuple)}
+
+
+def _json_value(key: str, type_name: str, value):
+    """``value`` as a field of type ``type_name``; a JSON value of another type raises
+    ParameterError naming ``key``."""
+    if type_name not in _JSON_TYPES:
+        return value
+    types, json_name, convert = _JSON_TYPES[type_name]
+    if not isinstance(value, types) or isinstance(value, bool) != (type_name == "bool"):
+        raise ParameterError(f"config key {key!r} must be a JSON {json_name}, got {value!r}")
+    return convert(value)
 
 
 def _config_value(name: str, type_name: str, value):
-    """Convert one JSON value to the type of the ``ExperimentConfig`` field."""
+    """Check one JSON value and convert it to the type of the ``ExperimentConfig`` field."""
     if name == "ball":
-        return BallSpec(q=float(value["q"]), radius=float(value["radius"]))
+        return BallSpec(**{key: _json_value(f"ball {key}", "float", value[key])
+                           for key in ("q", "radius")})
     if name == "losses":
-        return tuple(LossSpec(kind=item["kind"], p=float(item.get("p", 2.0)))
+        return tuple(LossSpec(kind=item["kind"],
+                              p=_json_value("losses p", "float", item.get("p", 2.0)))
                      for item in value)
     if name == "sigma_cov":
         return None if value is None else tuple(tuple(r) for r in value)
-    convert = _JSON_SCALARS.get(type_name)
-    return value if convert is None else convert(value)
+    if name == "n_grid":
+        return tuple(_json_value(name, "int", n) for n in value)
+    return _json_value(name, type_name, value)
 
 
 def _to_json(value):
@@ -461,8 +494,7 @@ def corollary1_experiment(
         raise ParameterError("only the certified q = 0 and q = 1 estimators run here")
     if len(n_grid) < 3:
         raise ParameterError(f"need at least 3 grid points, got {len(n_grid)}")
-    if not 0.0 < tau < math.inf:
-        raise ParameterError(f"tau (the config's sigma) must be finite and positive, got {tau}")
+    require_scalars("positive", tau=tau)  # the config's sigma, checked under its own name
     estimator = ({"kind": "l0", "s": ball.s} if ball.q == 0.0
                  else {"kind": "l1", "radius": ball.radius})
     config = ExperimentConfig(ball=ball, sigma=tau, n_grid=tuple(n_grid),

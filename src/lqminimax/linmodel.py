@@ -17,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CovarianceError, DimensionError, MembershipError, ParameterError
+from .errors import (CovarianceError, DimensionError, MembershipError, ParameterError,
+                     require_scalars)
 
 __all__ = [
     "BallSpec",
@@ -54,12 +55,11 @@ class BallSpec:
     radius: float
 
     def __post_init__(self):
+        require_scalars("positive", radius=self.radius)
         object.__setattr__(self, "q", float(self.q))
         object.__setattr__(self, "radius", float(self.radius))
         if not 0.0 <= self.q <= 1.0:
             raise ParameterError(f"q must lie in [0, 1], got {self.q}")
-        if not 0.0 < self.radius < math.inf:
-            raise ParameterError(f"radius must be finite and positive, got {self.radius}")
         if self.q == 0.0 and self.radius != int(self.radius):
             raise ParameterError(
                 f"q = 0 requires an integer support budget, got {self.radius}"
@@ -147,12 +147,9 @@ class InstanceSpec:
                    if value not in known]
         if unknown:
             raise ParameterError("unknown " + "; ".join(unknown))
-        if not 0.0 <= self.sigma < math.inf:
-            raise ParameterError(f"sigma must be finite and nonnegative, got {self.sigma}")
+        require_scalars("nonnegative", sigma=self.sigma)
         scale = _MAGNITUDE_RULES[self.beta_magnitude_rule][0]
-        if not 0.0 < getattr(self, scale) < math.inf:
-            raise ParameterError(f"{scale} must be finite and positive under beta_magnitude_rule "
-                                 f"{self.beta_magnitude_rule!r}, got {getattr(self, scale)}")
+        require_scalars("positive", **{scale: getattr(self, scale)})
         if self.design_kind == "correlated_gaussian":
             if self.sigma_cov is None:
                 raise ParameterError("correlated_gaussian requires a covariance")
@@ -332,8 +329,7 @@ def generate_sparse_beta(
     ball.validate_for_dim(d)
     if pattern not in _PATTERNS:
         raise ParameterError(f"unknown pattern {pattern!r}")
-    if magnitude <= 0:
-        raise ParameterError(f"magnitude must be positive, got {magnitude}")
+    require_scalars("positive", magnitude=magnitude)
     if ball.q == 0.0:
         k = ball.s
     else:
@@ -373,8 +369,7 @@ def simulate(
         raise DimensionError(
             f"shape mismatch: X {X.shape} vs beta_star {beta_star.shape}"
         )
-    if not 0.0 <= sigma < math.inf:
-        raise ParameterError(f"sigma must be finite and nonnegative, got {sigma}")
+    require_scalars("nonnegative", sigma=sigma)
     _, noise_rng = split_streams(seed)
     w = sigma * noise_rng.standard_normal(X.shape[0])
     y = X @ beta_star + w

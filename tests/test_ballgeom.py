@@ -269,7 +269,7 @@ class TestRescale:
 
     def test_degenerate_delta_zero(self):
         # delta_n = 0 would certify identical points as a packing
-        with pytest.raises(ParameterError, match="delta_n must be finite and positive"):
+        with pytest.raises(ParameterError, match="'delta_n' must be a finite number > 0"):
             rescale_hypercube_packing(hamming_packing(5, 2), 0.0, 2)
 
 
@@ -326,7 +326,7 @@ class TestGreedyPack:
 
     @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
     def test_bad_delta_rejected(self, delta):
-        with pytest.raises(ParameterError, match="delta must be finite and positive"):
+        with pytest.raises(ParameterError, match="'delta' must be a finite number > 0"):
             greedy_pack(np.eye(3), delta=delta)
 
     def test_self_certifies(self):

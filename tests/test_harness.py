@@ -7,6 +7,7 @@ import pytest
 
 from lqminimax import harness
 from lqminimax.cli import main as cli_main
+from lqminimax.bounds import RateQuery, minimax_rate
 from lqminimax.errors import CovarianceError, DimensionError, ParameterError
 from lqminimax.harness import (
     COUNTEREXAMPLE_X,
@@ -138,10 +139,65 @@ class TestConfig:
         ({"beta_magnitude": 0.0}, "beta_magnitude"),
         ({"beta_magnitude": -1.0}, "beta_magnitude"),
         ({"beta_magnitude": math.nan}, "beta_magnitude"),
+        # the config's other scalar fields, each checked under its own rule
+        ({"kappa_exponent": math.nan}, "kappa_exponent"),
+        ({"kappa_exponent": "0.5"}, "kappa_exponent"),
+        ({"trials_per_cell": 0}, "trials_per_cell"),
+        ({"trials_per_cell": 2.5}, "trials_per_cell"),
+        ({"seed_root": -1}, "seed_root"),
+        ({"seed_root": True}, "seed_root"),
+        ({"d_rule": ("fixed", 4.5)}, "d_rule"),
+        ({"d_rule": ("proportional", math.nan)}, "d_rule"),
+        ({"ball": BallSpec(0.0, 1), "estimator": {"kind": "l0", "s": np.float64(1.0)}}, "s"),
     ])
     def test_bad_noise_or_truth_magnitude_rejected(self, overrides, bad):
-        with pytest.raises(ParameterError, match=f"^{bad} must be"):
+        with pytest.raises(ParameterError, match=f"^'{bad}' must be"):
             _tiny_config(**overrides)
+
+    def test_scalar_fields_at_their_bounds_accepted(self):
+        config = _tiny_config(kappa_exponent=-2.0, seed_root=0, trials_per_cell=1,
+                              d_rule=("proportional", 0.4))
+        assert (config.kappa_exponent, config.seed_root, config.dim_at(10)) == (-2.0, 0, 4)
+
+    def test_numpy_scalars_stored_as_python_numbers(self):
+        # numpy registers its integers as numbers.Integral, so the rules take them
+        plain = _tiny_config(estimator={"kind": "l0", "s": 1}, trials_per_cell=2,
+                             d_rule=("fixed", 4), kappa_exponent=0.5)
+        numpy = _tiny_config(estimator={"kind": "l0", "s": np.int64(1)},
+                             trials_per_cell=np.int64(2), seed_root=np.int64(5),
+                             sigma=np.float64(0.5), d_rule=("fixed", np.int64(4)),
+                             kappa_exponent=np.float32(0.5))
+        assert type(numpy.estimator["s"]) is int and type(numpy.d_rule[1]) is int
+        assert type(numpy.trials_per_cell) is int and type(numpy.kappa_exponent) is float
+        assert config_hash(numpy) == config_hash(plain)
+        records = [[(r.n, r.d, r.trial, r.seed, r.losses, r.objective_ok)
+                    for r in run_risk_experiment(config).records] for config in (plain, numpy)]
+        assert records[0] == records[1]
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("enforce_scaling", "false", "'enforce_scaling' must be a JSON true or false, got 'false'"),
+        ("enforce_scaling", 0, "'enforce_scaling' must be a JSON true or false, got 0"),
+        ("trials_per_cell", 2.5, "'trials_per_cell' must be a JSON integer, got 2.5"),
+        ("n_grid", [20.7, 40, 80], "'n_grid' must be a JSON integer, got 20.7"),
+        ("seed_root", 1.5, "'seed_root' must be a JSON integer, got 1.5"),
+        ("seed_root", True, "'seed_root' must be a JSON integer, got True"),
+        ("sigma", "1e0", "'sigma' must be a JSON number, got '1e0'"),
+        ("kappa_exponent", False, "'kappa_exponent' must be a JSON number, got False"),
+        ("ball", {"q": "0.5", "radius": 1.0}, "'ball q' must be a JSON number, got '0.5'"),
+        ("losses", [{"kind": "lp", "p": True}], "'losses p' must be a JSON number, got True"),
+    ])
+    def test_json_value_of_another_type_rejected(self, key, value, message):
+        doc = _tiny_config().to_json_dict()
+        doc[key] = value
+        with pytest.raises(ParameterError, match=re.escape(f"config key {message}")):
+            ExperimentConfig.from_json_dict(doc)
+
+    def test_json_int_widens_to_a_float_field(self):
+        doc = _tiny_config().to_json_dict()
+        doc.update(sigma=1, beta_magnitude=2, kappa_exponent=-1, ball={"q": 0, "radius": 1})
+        config = ExperimentConfig.from_json_dict(doc)
+        assert (config.sigma, config.beta_magnitude, config.kappa_exponent) == (1.0, 2.0, -1.0)
+        assert type(config.sigma) is float and config.ball == BallSpec(0.0, 1.0)
 
     @pytest.mark.parametrize("overrides, message", [
         # asymmetric and indefinite, and 2 x 2 where d_rule gives d = 3
@@ -458,7 +514,7 @@ class TestCorollary1:
 
     @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
     def test_bad_tau_rejected_by_name(self, tau):
-        with pytest.raises(ParameterError, match="^tau "):
+        with pytest.raises(ParameterError, match="^'tau' "):
             corollary1_experiment((64, 128, 256), tau, BallSpec(0.0, 2))
 
 
@@ -633,6 +689,17 @@ class TestCli:
         assert cli_main(["rates", "--theorem", theorem, "--params", params]) == 0
         assert json.loads(capsys.readouterr().out)["constants_used"] == used
 
+    def test_rates_takes_d_as_given_and_refuses_a_fractional_n(self, capsys):
+        def value(params):
+            assert cli_main(["rates", "--theorem", "T4b", "--params", params]) == 0
+            return json.loads(capsys.readouterr().out)["value"]
+
+        assert value("n=100,d=32.9,s=2") == minimax_rate(RateQuery("T4b", n=100, d=32.9, radius=2))
+        assert value("n=100,d=32.9,s=2") != value("n=100,d=32,s=2")
+        assert value("n=100.0,d=32,s=2") == value("n=100,d=32,s=2")
+        with pytest.raises(ParameterError, match="'n' must be an integer >= 1, got 100.7"):
+            cli_main(["rates", "--theorem", "T4b", "--params", "n=100.7,d=32.9,s=2"])
+
     @pytest.mark.parametrize("params, message", [
         ("n=100,d=8,s=2,sigmaa=3", r"unknown --params keys \['sigmaa'\]; the keys are \['n'"),
         ("n=100,d=64,q=1,Rq=1,kappa_c=1,kappa_l=1,c_U=3", r"unknown --params keys \['c_U'\]"),
@@ -702,7 +769,7 @@ class TestCli:
 
     @pytest.mark.parametrize("delta", ["-0.5", "0", "nan", "inf"])
     def test_pack_rejects_a_bad_rescale(self, delta):
-        with pytest.raises(ParameterError, match="delta_n must be finite and positive"):
+        with pytest.raises(ParameterError, match="'delta_n' must be a finite number > 0"):
             cli_main(["pack", "--d", "6", "--s", "2", "--rescale", delta])
 
     def test_pack_with_sidecar(self, tmp_path, capsys):
@@ -751,7 +818,7 @@ class TestCli:
                       "--estimator", "l0"])
 
     def test_simulate_rejects_an_infinite_radius(self):
-        with pytest.raises(ParameterError, match="radius must be finite and positive"):
+        with pytest.raises(ParameterError, match="'radius' must be a finite number > 0"):
             cli_main(["simulate", "--n", "20", "--d", "6", "--q", "0.5", "--radius", "inf"])
 
     def test_simulate_identity_sequence_sigma_is_tau(self, tmp_path, capsys):

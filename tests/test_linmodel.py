@@ -47,7 +47,7 @@ class TestBallSpec:
     @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, -1.0])
     def test_radius_must_be_finite_and_positive(self, q, radius):
         # q = 0 used to hit int(radius): a bare ValueError for NaN, OverflowError for inf
-        with pytest.raises(ParameterError, match="radius must be finite and positive"):
+        with pytest.raises(ParameterError, match="'radius' must be a finite number > 0"):
             BallSpec(q=q, radius=radius)
 
     def test_bind_to_dimension(self):
