@@ -228,7 +228,7 @@ def re_constant(
     """
     if mode not in ("sampled", "exact_tiny"):
         raise ParameterError(f"unknown mode {mode!r}")
-    require_scalars("index", n_samples=n_samples)
+    require_scalars("index", n_samples=n_samples, seed=seed)
     X = np.asarray(X, dtype=float)
     require_finite(X=X)
     n, d = X.shape
@@ -328,7 +328,7 @@ def kernel_diameter(
     """
     if not p >= 1.0:
         raise ParameterError(f"kernel_diameter needs p >= 1, got {p}")
-    require_scalars("index", n_samples=n_samples)
+    require_scalars("index", n_samples=n_samples, seed=seed)
     X = np.asarray(X, dtype=float)
     require_finite(X=X)
     if ball.q == 0.0:
@@ -395,6 +395,7 @@ def verify_prop1(
     if spec.kind == "identity_sequence":
         raise ParameterError("verify_prop1 needs a Gaussian row ensemble")
     require_scalars("count", n_draws=n_draws, n_directions=n_directions)
+    require_scalars("index", seed=seed)
     n, d = spec.n, spec.d
     root = np.eye(d) if spec.root is None else spec.root
     rho = 1.0 if spec.root is None else float(np.max(np.diag(spec.sigma_cov)))
@@ -472,7 +473,7 @@ def diagnose(
 ) -> DesignDiagnostics:
     """Measure every design constant at sparsity level s (spectrum at 2s)."""
     params = REParams(s=s, c0=c0)  # checks s and c0 before any scan
-    require_scalars("index", n_samples=n_samples)
+    require_scalars("index", n_samples=n_samples, seed=seed)
     X = np.asarray(X, dtype=float)
     require_finite(X=X)
     if ball is None:

@@ -1,7 +1,7 @@
 """Exception types shared across the package, and the input checks that raise them.
 
-``SCALAR_RULES`` is the one table of scalar rules; public entry points check their
-scalar arguments against it through ``require_scalars``.
+``SCALAR_RULES`` is the one table of scalar rules; public entry points check their scalar
+arguments against it through ``require_scalars``, and constructors store theirs through it.
 """
 
 import math
@@ -58,6 +58,25 @@ def require_scalars(rule: str, **values) -> None:
     for name, value in values.items():
         if not admissible(value):
             raise ParameterError(f"{name!r} must be {requirement}, got {value!r}")
+
+
+def as_scalar(rule: str, name: str, value):
+    """``value``, checked as by ``require_scalars``, as a Python int (count, index) or float."""
+    require_scalars(rule, **{name: value})
+    return int(value) if rule in ("count", "index") else float(value)
+
+
+def store_scalars(spec, **rules) -> None:
+    """Store each named field of the frozen dataclass ``spec`` as ``as_scalar`` returns it."""
+    for name, rule in rules.items():
+        object.__setattr__(spec, name, as_scalar(rule, name, getattr(spec, name)))
+
+
+def as_tuple(name: str, seq, rule=None, pair: bool = False) -> tuple:
+    """``seq``, a list, tuple or array (a pair if ``pair``), as a tuple of items under ``rule``."""
+    if not (isinstance(seq, (list, tuple)) or getattr(seq, "ndim", 0)) or pair and len(seq) != 2:
+        raise ParameterError(f"{name!r} must be a {'pair' if pair else 'list'}, got {seq!r}")
+    return tuple(seq if rule is None else (as_scalar(rule, name, v) for v in seq))
 
 
 def require_finite(**arrays) -> None:

@@ -481,11 +481,11 @@ def lq_constrained_ls(
     Steps 1/L with L the Lanczos bound on sigma_max(X)^2 that
     ``l1_constrained_ls`` uses, reported with its step count in info; like
     it, takes gradients from G = X^T X and c = X^T y (d^2 + d floats) when
-    n >= d and from X otherwise, and scores iterates by ||y - X b||^2.  The
-    projection is a heuristic onto a nonconvex set, so a step may raise the
-    objective; the solver keeps the best feasible iterate ever visited,
-    including the projected starts themselves, so supplying the truth as an
-    oracle warm start guarantees an objective no worse than at the truth.
+    n >= d and from X otherwise, and scores iterates by the f(b) = ||y - X b||^2
+    its gradient product gives.  The projection is a heuristic onto a nonconvex
+    set, so a step may raise the objective; the solver keeps the best feasible
+    iterate ever visited, including the projected starts, so the truth as an
+    oracle warm start guarantees an objective no worse than at the truth, up to rounding.
     The converged flag only reports stationarity of the last run; no global
     claim is made.  A start not of shape (d,) raises DimensionError, and one
     with a non-finite entry ParameterError.
@@ -507,33 +507,34 @@ def lq_constrained_ls(
     step = 1.0 / lip if lip > 0 else 1.0
 
     best_beta: Optional[np.ndarray] = None
-    best_obj = math.inf
+    best_f = math.inf
     total_iters = 0
     any_stationary = False
 
-    def consider(b: np.ndarray) -> float:
-        nonlocal best_beta, best_obj
-        r = y - X @ b
-        obj = float(r @ r)
-        if obj < best_obj:
-            best_obj, best_beta = obj, b.copy()
-        return obj
+    def consider(b: np.ndarray) -> np.ndarray:
+        """The half gradient at b, keeping b if its objective f(b) is the best yet."""
+        nonlocal best_beta, best_f
+        g, f = half_gradient(b)
+        if f < best_f:
+            best_f, best_beta = f, b.copy()
+        return g
 
     for start in starts.values():
         beta = project_lq_heuristic(start, ball)
-        consider(beta)
+        g = consider(beta)
         for _ in range(max_iter):
             total_iters += 1
-            nxt = project_lq_heuristic(beta - step * half_gradient(beta)[0], ball)
-            consider(nxt)
+            nxt = project_lq_heuristic(beta - step * g, ball)
+            g = consider(nxt)
             if np.max(np.abs(nxt - beta)) <= tol:
                 any_stationary = True
                 break
             beta = nxt
 
+    r = y - X @ best_beta
     return EstimateResult(
         beta_hat=best_beta,
-        objective=best_obj,
+        objective=float(r @ r),
         iterations=total_iters,
         converged=any_stationary,
         feasible=ball_contains(ball, best_beta, tol=1e-8),

@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .conditions import in_cone
-from .errors import (ConsistencyError, CovarianceError, DimensionError, ParameterError,
-                     require_scalars)
+from .errors import (ConsistencyError, CovarianceError, DimensionError, ParameterError, as_scalar,
+                     as_tuple, require_scalars, store_scalars)
 from .estimators import (
     _PARAMETER_RULES,
     EstimateResult,
@@ -78,29 +78,34 @@ class ExperimentConfig(InstanceSpec):
     enforce_scaling: bool = False
 
     def __post_init__(self):
-        for f in fields(self):  # stored as Python numbers, so that the config serialises
-            object.__setattr__(self, f.name, _python_scalars(getattr(self, f.name)))
-        grid = tuple(int(n) for n in self.n_grid)
+        grid = as_tuple("n_grid", self.n_grid, "index")
         object.__setattr__(self, "n_grid", grid)
         if any(b >= a for a, b in zip(grid[1:], grid)):
             raise ParameterError(f"n_grid must be strictly increasing, got {grid}")
-        require_scalars("count", trials_per_cell=self.trials_per_cell)
-        require_scalars("index", seed_root=self.seed_root)
-        require_scalars("finite", kappa_exponent=self.kappa_exponent)
-        if self.d_rule[0] not in ("fixed", "proportional"):
-            raise ParameterError(f"unknown d_rule {self.d_rule!r}")
-        require_scalars("count" if self.d_rule[0] == "fixed" else "positive", d_rule=self.d_rule[1])
+        store_scalars(self, trials_per_cell="count", seed_root="index", kappa_exponent="finite")
+        if not isinstance(self.enforce_scaling, (bool, np.bool_)):
+            raise ParameterError(f"'enforce_scaling' must be a bool, got {self.enforce_scaling!r}")
+        object.__setattr__(self, "enforce_scaling", bool(self.enforce_scaling))
+        rule, value = as_tuple("d_rule", self.d_rule, pair=True)
+        if not isinstance(self.estimator, dict):
+            raise ParameterError(f"'estimator' must be a dict, got {self.estimator!r}")
         kind = self.estimator.get("kind")
-        super().__post_init__(("estimator kind", kind, _ESTIMATORS))
+        super().__post_init__(("d_rule", rule, ("fixed", "proportional")),
+                              ("estimator kind", kind, _ESTIMATORS))
+        value = as_scalar("count" if rule == "fixed" else "positive", "d_rule", value)
+        object.__setattr__(self, "d_rule", (rule, value))
         required, optional, _ = _ESTIMATORS[kind]
         values = {key: value for key, value in self.estimator.items() if key != "kind"}
         if not set(required) <= set(values) <= {*required, *optional}:
             raise ParameterError(f"estimator kind {kind!r} needs the keys {list(required)} and "
                                  f"takes only {[*required, *optional]}, got {list(values)}")
-        for key, value in values.items():
-            require_scalars(_PARAMETER_RULES[key], **{key: value})
-        if (self.design_kind == "identity_sequence"
-                and tuple(self.d_rule) != ("proportional", 1.0)):
+        object.__setattr__(self, "estimator", {"kind": kind, **{
+            key: as_scalar(_PARAMETER_RULES[key], key, value) for key, value in values.items()}})
+        losses = as_tuple("losses", self.losses)
+        if not all(isinstance(spec, LossSpec) for spec in losses):
+            raise ParameterError(f"'losses' must hold LossSpecs, got {self.losses!r}")
+        object.__setattr__(self, "losses", losses)
+        if self.design_kind == "identity_sequence" and self.d_rule != ("proportional", 1.0):
             raise ParameterError(
                 f"identity_sequence needs d_rule ('proportional', 1.0), got {self.d_rule!r}")
         for n in grid:
@@ -118,7 +123,7 @@ class ExperimentConfig(InstanceSpec):
 
     def dim_at(self, n: int) -> int:
         kind, value = self.d_rule
-        return int(value) if kind == "fixed" else int(round(value * n))
+        return value if kind == "fixed" else int(round(value * n))
 
     def scaling_ok(self, n: int, d: int) -> bool:
         """d / (Rq n^{q/2}) >= d^kappa; the condition only binds for q > 0."""
@@ -133,58 +138,27 @@ class ExperimentConfig(InstanceSpec):
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
         """Inverse of ``to_json_dict``; absent keys take the field defaults."""
-        by_name = {f.name: f for f in fields(cls) if f.init}
-        unknown = sorted(set(doc) - set(by_name))
-        if unknown:
-            raise ParameterError(f"unknown config keys {unknown}; the fields are {list(by_name)}")
-        missing = [name for name, f in by_name.items() if f.default is MISSING and name not in doc]
-        if missing:
-            raise ParameterError(f"config is missing required keys {missing}")
-        return cls(**{name: _config_value(name, by_name[name].type, value)
-                      for name, value in doc.items()})
+        return _from_json(cls, "config", doc)
 
 
-def _python_scalars(value):
-    """``value`` with each numpy scalar in it, inside tuples and dicts too, a Python number."""
-    if isinstance(value, tuple):
-        return tuple(_python_scalars(v) for v in value)
-    if isinstance(value, dict):
-        return {k: _python_scalars(v) for k, v in value.items()}
-    return value.item() if isinstance(value, np.generic) else value
+def _from_json(cls, where: str, doc: dict):
+    """``cls`` from the JSON object ``doc``; an unknown or missing key raises ParameterError."""
+    by_name = {f.name: f for f in fields(cls) if f.init}
+    unknown = sorted(set(doc) - set(by_name))
+    if unknown:
+        raise ParameterError(f"unknown {where} keys {unknown}; the keys are {list(by_name)}")
+    missing = [name for name, f in by_name.items() if f.default is MISSING and name not in doc]
+    if missing:
+        raise ParameterError(f"{where} is missing required keys {missing}")
+    specs = {"ball": BallSpec, "losses": LossSpec}  # the config fields whose objects are specs
+    return cls(**{name: _reshape(value, specs.get(name)) for name, value in doc.items()})
 
 
-# field type -> (Python types of the JSON values it takes, their JSON name, conversion);
-# JSON true and false load as bools, which are ints too, so only a bool field takes them
-_JSON_TYPES = {"float": ((int, float), "number", float), "int": (int, "integer", int),
-               "bool": (bool, "true or false", bool), "dict": (dict, "object", dict),
-               "tuple": (list, "array", tuple)}
-
-
-def _json_value(key: str, type_name: str, value):
-    """``value`` as a field of type ``type_name``; a JSON value of another type raises
-    ParameterError naming ``key``."""
-    if type_name not in _JSON_TYPES:
-        return value
-    types, json_name, convert = _JSON_TYPES[type_name]
-    if not isinstance(value, types) or isinstance(value, bool) != (type_name == "bool"):
-        raise ParameterError(f"config key {key!r} must be a JSON {json_name}, got {value!r}")
-    return convert(value)
-
-
-def _config_value(name: str, type_name: str, value):
-    """Check one JSON value and convert it to the type of the ``ExperimentConfig`` field."""
-    if name == "ball":
-        return BallSpec(**{key: _json_value(f"ball {key}", "float", value[key])
-                           for key in ("q", "radius")})
-    if name == "losses":
-        return tuple(LossSpec(kind=item["kind"],
-                              p=_json_value("losses p", "float", item.get("p", 2.0)))
-                     for item in value)
-    if name == "sigma_cov":
-        return None if value is None else tuple(tuple(r) for r in value)
-    if name == "n_grid":
-        return tuple(_json_value(name, "int", n) for n in value)
-    return _json_value(name, type_name, value)
+def _reshape(value, spec):
+    """JSON lists as tuples, and JSON objects as ``spec`` instances when ``spec`` is given."""
+    if isinstance(value, list):
+        return tuple(_reshape(v, spec) for v in value)
+    return _from_json(spec, spec.__name__, value) if spec and isinstance(value, dict) else value
 
 
 def _to_json(value):

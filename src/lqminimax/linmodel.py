@@ -17,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (CovarianceError, DimensionError, MembershipError, ParameterError,
-                     require_scalars)
+from .errors import (CovarianceError, DimensionError, MembershipError, ParameterError, as_tuple,
+                     require_scalars, store_scalars)
 
 __all__ = [
     "BallSpec",
@@ -55,9 +55,7 @@ class BallSpec:
     radius: float
 
     def __post_init__(self):
-        require_scalars("positive", radius=self.radius)
-        object.__setattr__(self, "q", float(self.q))
-        object.__setattr__(self, "radius", float(self.radius))
+        store_scalars(self, q="finite", radius="positive")
         if not 0.0 <= self.q <= 1.0:
             raise ParameterError(f"q must lie in [0, 1], got {self.q}")
         if self.q == 0.0 and self.radius != int(self.radius):
@@ -147,9 +145,15 @@ class InstanceSpec:
                    if value not in known]
         if unknown:
             raise ParameterError("unknown " + "; ".join(unknown))
-        require_scalars("nonnegative", sigma=self.sigma)
+        if not isinstance(self.ball, BallSpec):
+            raise ParameterError(f"'ball' must be a BallSpec, got {self.ball!r}")
+        store_scalars(self, sigma="nonnegative", beta_magnitude="positive")
         scale = _MAGNITUDE_RULES[self.beta_magnitude_rule][0]
         require_scalars("positive", **{scale: getattr(self, scale)})
+        if self.sigma_cov is not None:
+            rows = as_tuple("sigma_cov", self.sigma_cov)
+            cov = tuple(as_tuple("sigma_cov", row, "finite") for row in rows)
+            object.__setattr__(self, "sigma_cov", cov)
         if self.design_kind == "correlated_gaussian":
             if self.sigma_cov is None:
                 raise ParameterError("correlated_gaussian requires a covariance")
@@ -184,7 +188,8 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in ("lp", "l2_prediction"):
             raise ParameterError(f"unknown loss kind {self.kind!r}")
-        if self.kind == "lp" and not 1 <= self.p < math.inf:
+        store_scalars(self, p="finite")
+        if self.kind == "lp" and not 1 <= self.p:
             raise ParameterError(f"lp loss requires finite p >= 1, got {self.p}")
 
     @classmethod
@@ -237,12 +242,14 @@ class ProblemInstance:
 
 def derive_seed(root: int, *parts: int) -> int:
     """Deterministic 64-bit child seed from a root seed and integer key parts."""
+    require_scalars("index", root=root, **{f"part {i}": p for i, p in enumerate(parts)})
     ss = np.random.SeedSequence([int(root)] + [int(p) for p in parts])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def split_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     """Split one seed into independent (design, noise) generators."""
+    require_scalars("index", seed=seed)
     design_ss, noise_ss = np.random.SeedSequence(int(seed)).spawn(2)
     return np.random.default_rng(design_ss), np.random.default_rng(noise_ss)
 
@@ -434,9 +441,7 @@ def instance_to_json(inst: ProblemInstance) -> str:
 def instance_from_json(text: str) -> ProblemInstance:
     doc = json.loads(text)
     n, d = int(doc["n"]), int(doc["d"])
-    ball = None
-    if doc.get("q") is not None:
-        ball = BallSpec(q=float(doc["q"]), radius=float(doc["radius"]))
+    ball = None if doc.get("q") is None else BallSpec(q=doc["q"], radius=doc["radius"])
     return ProblemInstance(
         X=np.array(doc["X"], dtype=float).reshape(n, d),
         beta_star=np.array(doc["beta_star"], dtype=float),

@@ -36,7 +36,8 @@ from lqminimax.conditions import (
     verify_prop1,
 )
 from lqminimax.errors import SCALAR_RULES, ParameterError, require_scalars
-from lqminimax.linmodel import BallSpec, DesignSpec, InstanceSpec, generate_sparse_beta, simulate
+from lqminimax.linmodel import (BallSpec, DesignSpec, InstanceSpec, derive_seed, generate_design,
+                                generate_sparse_beta, simulate, split_streams)
 
 nan, inf = math.nan, math.inf
 
@@ -137,6 +138,16 @@ _REFUSALS = [
     ("n_draws", lambda: verify_prop1(DesignSpec("standard_gaussian", 10, 4), n_draws=0)),
     ("n_directions", lambda: verify_prop1(DesignSpec("standard_gaussian", 10, 4),
                                           n_directions=2.0)),
+    # seeds, under the index rule; numpy's own refusal was a bare ValueError
+    ("root", lambda: derive_seed(-1, 2)),
+    ("part 1", lambda: derive_seed(0, 2, -3)),
+    ("seed", lambda: split_streams(-1)),
+    ("seed", lambda: simulate(_X, np.zeros(4), 1.0, seed=-1)),
+    ("seed", lambda: generate_design(DesignSpec("standard_gaussian", 6, 4, seed=-1))),
+    ("seed", lambda: re_constant(_X, REParams(s=1, c0=1.0), seed=-1)),
+    ("seed", lambda: kernel_diameter(_X, BallSpec(0.5, 1.0), seed=1.5)),
+    ("seed", lambda: diagnose(_X, 1, seed=-1)),
+    ("seed", lambda: verify_prop1(DesignSpec("standard_gaussian", 10, 4), seed=True)),
 ]
 
 

@@ -175,21 +175,21 @@ class TestConfig:
         assert records[0] == records[1]
 
     @pytest.mark.parametrize("key, value, message", [
-        ("enforce_scaling", "false", "'enforce_scaling' must be a JSON true or false, got 'false'"),
-        ("enforce_scaling", 0, "'enforce_scaling' must be a JSON true or false, got 0"),
-        ("trials_per_cell", 2.5, "'trials_per_cell' must be a JSON integer, got 2.5"),
-        ("n_grid", [20.7, 40, 80], "'n_grid' must be a JSON integer, got 20.7"),
-        ("seed_root", 1.5, "'seed_root' must be a JSON integer, got 1.5"),
-        ("seed_root", True, "'seed_root' must be a JSON integer, got True"),
-        ("sigma", "1e0", "'sigma' must be a JSON number, got '1e0'"),
-        ("kappa_exponent", False, "'kappa_exponent' must be a JSON number, got False"),
-        ("ball", {"q": "0.5", "radius": 1.0}, "'ball q' must be a JSON number, got '0.5'"),
-        ("losses", [{"kind": "lp", "p": True}], "'losses p' must be a JSON number, got True"),
+        ("enforce_scaling", "false", "'enforce_scaling' must be a bool, got 'false'"),
+        ("enforce_scaling", 0, "'enforce_scaling' must be a bool, got 0"),
+        ("trials_per_cell", 2.5, "'trials_per_cell' must be an integer >= 1, got 2.5"),
+        ("n_grid", [20.7, 40, 80], "'n_grid' must be an integer >= 0, got 20.7"),
+        ("seed_root", 1.5, "'seed_root' must be an integer >= 0, got 1.5"),
+        ("seed_root", True, "'seed_root' must be an integer >= 0, got True"),
+        ("sigma", "1e0", "'sigma' must be a finite number >= 0, got '1e0'"),
+        ("kappa_exponent", False, "'kappa_exponent' must be a finite number, got False"),
+        ("ball", {"q": "0.5", "radius": 1.0}, "'q' must be a finite number, got '0.5'"),
+        ("losses", [{"kind": "lp", "p": True}], "'p' must be a finite number, got True"),
     ])
     def test_json_value_of_another_type_rejected(self, key, value, message):
         doc = _tiny_config().to_json_dict()
         doc[key] = value
-        with pytest.raises(ParameterError, match=re.escape(f"config key {message}")):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             ExperimentConfig.from_json_dict(doc)
 
     def test_json_int_widens_to_a_float_field(self):
@@ -198,6 +198,61 @@ class TestConfig:
         config = ExperimentConfig.from_json_dict(doc)
         assert (config.sigma, config.beta_magnitude, config.kappa_exponent) == (1.0, 2.0, -1.0)
         assert type(config.sigma) is float and config.ball == BallSpec(0.0, 1.0)
+
+    @pytest.mark.parametrize("overrides, twin", [
+        ({"sigma": 1}, {"sigma": 1.0}),
+        ({"ball": BallSpec(1.0, 4), "estimator": {"kind": "l1", "radius": 4}},
+         {"ball": BallSpec(1.0, 4.0), "estimator": {"kind": "l1", "radius": 4.0}}),
+        ({"d_rule": ("proportional", 1)}, {"d_rule": ("proportional", 1.0)}),
+        ({"design_kind": "correlated_gaussian", "sigma_cov": ((1, 0), (0, 1)),
+          "d_rule": ("fixed", 2)},
+         {"design_kind": "correlated_gaussian", "sigma_cov": np.eye(2), "d_rule": ("fixed", 2)}),
+        ({"losses": (LossSpec("lp", 1),)}, {"losses": [LossSpec("lp", 1.0)]}),
+    ], ids=["sigma", "l1_radius", "d_rule", "sigma_cov", "loss_p"])
+    def test_int_and_float_twins_share_one_hash(self, overrides, twin):
+        configs = [_tiny_config(**overrides), _tiny_config(**twin)]
+        configs += [ExperimentConfig.from_json_dict(json.loads(json.dumps(c.to_json_dict())))
+                    for c in configs]
+        assert all(c == configs[0] for c in configs)
+        assert len({config_hash(c) for c in configs}) == 1
+
+    @pytest.mark.parametrize("build, message", [
+        # values a constructor used to coerce or truncate
+        (lambda: _tiny_config(n_grid=(20.7, 40, 80)), "'n_grid' must be an integer >= 0, got 20.7"),
+        (lambda: _tiny_config(n_grid=(-10, 40)), "'n_grid' must be an integer >= 0, got -10"),
+        (lambda: BallSpec(q=True, radius=1.0), "'q' must be a finite number, got True"),
+        (lambda: BallSpec(q="0.5", radius=1.0), "'q' must be a finite number, got '0.5'"),
+        (lambda: LossSpec("lp", p=True), "'p' must be a finite number, got True"),
+        (lambda: _tiny_config(enforce_scaling=1), "'enforce_scaling' must be a bool, got 1"),
+        (lambda: _tiny_config(d_rule=("fixed",)), "'d_rule' must be a pair, got ('fixed',)"),
+        (lambda: _tiny_config(n_grid=10), "'n_grid' must be a list, got 10"),
+        (lambda: _tiny_config(estimator=[("kind", "l0")]),
+         "'estimator' must be a dict, got [('kind', 'l0')]"),
+        (lambda: _tiny_config(ball=(0.0, 1)), "'ball' must be a BallSpec, got (0.0, 1)"),
+        (lambda: _tiny_config(losses=("l2",)), "'losses' must hold LossSpecs, got ('l2',)"),
+        # JSON values that were silently dropped or died with a bare error
+        ({"losses": [{"kind": "lp", "pp": 3}]},
+         "unknown LossSpec keys ['pp']; the keys are ['kind', 'p']"),
+        ({"ball": {"q": 0, "radius": 1, "p": 2}},
+         "unknown BallSpec keys ['p']; the keys are ['q', 'radius']"),
+        ({"ball": {"radius": 1}}, "BallSpec is missing required keys ['q']"),
+        ({"losses": [{"p": 2}]}, "LossSpec is missing required keys ['kind']"),
+        ({"d_rule": ["fixed"]}, "'d_rule' must be a pair, got ('fixed',)"),
+        ({"n_grid": 10}, "'n_grid' must be a list, got 10"),
+        ({"ball": 1}, "'ball' must be a BallSpec, got 1"),
+        ({"design_kind": "correlated_gaussian", "sigma_cov": [[1, "0"], [0, 1]],
+          "d_rule": ["fixed", 2]}, "'sigma_cov' must be a finite number, got '0'"),
+    ], ids=["n_grid_fraction", "n_grid_negative", "q_bool", "q_string", "p_bool",
+            "enforce_scaling_int", "d_rule_single", "n_grid_scalar", "estimator_list",
+            "ball_tuple", "loss_name", "json_loss_key", "json_ball_extra_key",
+            "json_ball_without_q", "json_loss_without_kind", "json_d_rule_single",
+            "json_n_grid_scalar", "json_ball_number", "json_covariance_string"])
+    def test_coercion_or_bare_error_refused_by_name(self, build, message):
+        if isinstance(build, dict):
+            doc = {**_tiny_config().to_json_dict(), **build}
+            build = lambda: ExperimentConfig.from_json_dict(doc)  # noqa: E731
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            build()
 
     @pytest.mark.parametrize("overrides, message", [
         # asymmetric and indefinite, and 2 x 2 where d_rule gives d = 3

@@ -5,6 +5,7 @@ import json
 import pathlib
 import tempfile
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from lqminimax.harness import (
@@ -117,6 +118,62 @@ def test_required_keys_alone_give_the_defaults(ball, sigma, n, estimator):
     for f in dataclasses.fields(ExperimentConfig):
         if f.default is not dataclasses.MISSING:
             assert getattr(config, f.name) == f.default, f.name
+
+
+@st.composite
+def integral_configs(draw):
+    """The numbers of an admissible config, every one an integer, and its names."""
+    n_grid = sorted(draw(st.sets(st.integers(1, 10**4), min_size=1, max_size=4)))
+    k = draw(st.integers(1, 4))
+    rule, ratio = draw(st.sampled_from([("fixed", k), ("proportional", k)]))
+    d_min = ratio if rule == "fixed" else ratio * n_grid[0]
+    q = draw(st.sampled_from([0, 1]))
+    radius = draw(st.integers(1, min(d_min, 10)) if q == 0 else st.integers(1, 100))
+    estimator = {"kind": "l0", "s": radius} if q == 0 else {
+        "kind": "l1", "radius": radius, "max_iter": draw(st.integers(1, 10**4)),
+        "tol": draw(st.integers(0, 1))}
+    correlated = rule == "fixed" and draw(st.booleans())
+    return dict(
+        q=q, radius=radius, sigma=draw(st.integers(0, 100)), n_grid=n_grid, estimator=estimator,
+        d_rule=(rule, ratio),
+        design_kind="correlated_gaussian" if correlated else "standard_gaussian",
+        sigma_cov=[[draw(st.integers(1, 9)) * (i == j) for j in range(k)] for i in range(k)]
+        if correlated else None,
+        trials_per_cell=draw(st.integers(1, 100)), p=draw(st.integers(1, 8)),
+        seed_root=draw(st.integers(0, 2**62)), beta_magnitude=draw(st.integers(1, 100)),
+        kappa_exponent=draw(st.integers(-5, 5)), enforce_scaling=draw(st.booleans()))
+
+
+def _config_of(v, real, whole, seq):
+    """The config of ``integral_configs`` numbers ``v``, each number of a float field made
+    by ``real``, of an int field by ``whole``, and each tuple by ``seq``."""
+    rule, ratio = v["d_rule"]
+    return ExperimentConfig(
+        ball=BallSpec(real(v["q"]), real(v["radius"])), sigma=real(v["sigma"]),
+        n_grid=seq(whole(n) for n in v["n_grid"]),
+        estimator={key: value if key == "kind" else
+                   (whole if key in ("s", "max_iter") else real)(value)
+                   for key, value in v["estimator"].items()},
+        d_rule=seq((rule, (whole if rule == "fixed" else real)(ratio))),
+        design_kind=v["design_kind"], sigma_cov=None if v["sigma_cov"] is None
+        else seq(seq(real(x) for x in row) for row in v["sigma_cov"]),
+        trials_per_cell=whole(v["trials_per_cell"]),
+        losses=seq((LossSpec("lp", real(v["p"])), LossSpec.prediction())),
+        seed_root=whole(v["seed_root"]), beta_magnitude=real(v["beta_magnitude"]),
+        kappa_exponent=real(v["kappa_exponent"]), enforce_scaling=v["enforce_scaling"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(integral_configs())
+def test_number_twins_and_their_json_round_trips_share_one_hash(v):
+    # Python ints, integer-valued floats, numpy scalars, and lists in place of tuples
+    twins = [_config_of(v, int, int, tuple), _config_of(v, float, int, tuple),
+             _config_of(v, np.int64, np.int64, tuple), _config_of(v, np.float64, np.int64, list),
+             _config_of(v, int, int, list)]
+    twins += [ExperimentConfig.from_json_dict(json.loads(json.dumps(c.to_json_dict())))
+              for c in twins]
+    assert all(c == twins[0] for c in twins)
+    assert len({config_hash(c) for c in twins}) == 1
 
 
 records = st.builds(
