@@ -42,7 +42,7 @@ print(f"lq (oracle warm start): objective {res_lq.objective:.4f}, "
       f"feasible={res_lq.feasible}")
 
 res_lasso = lasso(X, inst.y, lam=0.05)
-print(f"lasso(0.05): support {res_lasso.support}, "
+print(f"lasso(0.05): converged={res_lasso.converged} support {res_lasso.support}, "
       f"KKT residual {res_lasso.info['kkt_residual']:.2e}")
 
 # every output that is no worse than the truth satisfies the basic inequality

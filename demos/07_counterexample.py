@@ -28,6 +28,7 @@ print(f"\nsparse spectrum: kappa_l={kl:.3f} > 0, but RE over the cone = {re.valu
 
 print("\nlasso at lambda = 1e-6 follows the l1 route, not the truth:")
 res = lasso(X, y, lam=1e-6)
-print("   lasso:", np.round(res.beta_hat, 6), "l1 norm", np.abs(res.beta_hat).sum())
+print("   lasso:", np.round(res.beta_hat, 6), "l1 norm", np.abs(res.beta_hat).sum(),
+      f"converged={res.converged} after {res.iterations} iterations")
 res0 = l0_least_squares(X, y, s=1)
 print("   l0:   ", res0.beta_hat, "objective", res0.objective)

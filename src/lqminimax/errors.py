@@ -92,10 +92,10 @@ def require_finite(**arrays) -> None:
 
 
 def require_rows(X: np.ndarray, **vectors) -> None:
-    """Raise DimensionError unless X is 2-D and each named vector has shape (n,),
-    n being the number of rows of X."""
-    if X.ndim != 2:
-        raise DimensionError(f"X must be 2-D, got shape {X.shape}")
+    """Raise DimensionError unless X is 2-D with at least one row and one column
+    and each named vector has shape (n,), n being the number of rows of X."""
+    if X.ndim != 2 or 0 in X.shape:
+        raise DimensionError(f"X must be 2-D and non-empty, got shape {X.shape}")
     for name, v in vectors.items():
         if v.shape != (X.shape[0],):
             raise DimensionError(f"{name} has shape {v.shape}, expected ({X.shape[0]},)")

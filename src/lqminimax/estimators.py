@@ -1,18 +1,17 @@
 """Constrained least-squares estimators over lq-balls, plus the Lasso.
 
-q = 0 is solved exactly by support enumeration, q = 1 by monotone FISTA
-(Beck & Teboulle 2009, IEEE Trans. Image Process. 18) with gradient-based
-adaptive restart (O'Donoghue & Candes 2015, Found. Comput. Math. 15),
-certified by the Frank-Wolfe duality gap, q in (0, 1) by multi-start
+q = 0 is solved exactly by support enumeration; q in (0, 1) by multi-start
 projected gradient with a feasibility heuristic (no global guarantee; use an
-oracle warm start in simulations), and the Lasso by cyclic coordinate
-descent.  The l1 and lq solvers step 1/L, where L is a Lanczos upper bound on
+oracle warm start in simulations).  q = 1 and the Lasso share one loop,
+``_fista``: monotone FISTA (Beck & Teboulle 2009, IEEE Trans. Image Process.
+18) with gradient-based adaptive restart (O'Donoghue & Candes 2015, Found.
+Comput. Math. 15), stepping by the projection onto the l1-ball or by the
+soft-threshold, and stopped by the Frank-Wolfe duality gap or the KKT
+residual.  These solvers step 1/L, where L is a Lanczos upper bound on
 sigma_max(X)^2 within a factor 1 + 1e-6 of it (``_lipschitz`` says when it
 can fall short).  When n >= d they form G = X^T X and c = X^T y once per
 call, d^2 + d floats on top of X, and take every gradient and Lanczos product
-from them at d^2 flops; when n < d they use products with X.  The l1 solver
-takes one such product per iteration and keeps a momentum step only if it
-does not raise the objective (see ``l1_constrained_ls``).
+from them at d^2 flops; when n < d they use products with X.
 
 ``_PARAMETER_RULES`` names each estimator parameter's rule in
 ``errors.SCALAR_RULES``; the solvers and ``ExperimentConfig`` both check
@@ -43,12 +42,21 @@ __all__ = [
     "check_basic_inequality",
 ]
 
-LASSO_PATH_STEPS = 50  # penalties on the lasso's geometric warm-start ladder
-
-
 # estimator key (the l1 solver's r1 is "radius") -> its rule in errors.SCALAR_RULES
 _PARAMETER_RULES = {"s": "count", "radius": "positive", "lam": "nonnegative",
                     "max_iter": "count", "tol": "nonnegative"}
+
+
+def _check_inputs(X, y, **scalars) -> tuple:
+    """(X, y) as float arrays, once each named parameter's rule, then X and y's
+    shapes and finiteness, are checked."""
+    for name, value in scalars.items():
+        require_scalars(_PARAMETER_RULES[name], **{name: value})
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    require_rows(X, y=y)
+    require_finite(X=X, y=y)
+    return X, y
 
 
 def _check_s_fits(s: int, d: int, at: str = "") -> None:
@@ -363,8 +371,80 @@ def _unit_lstsq(X_S: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 # ---------------------------------------------------------------------------
-# l1-constrained least squares (projected gradient, certified)
+# the certified FISTA loop, and l1-constrained least squares (the lasso is below)
 # ---------------------------------------------------------------------------
+
+
+def _fista(X, y, step, certificate, max_iter, tol, record_trace=False) -> EstimateResult:
+    """Monotone FISTA from b = 0 for min F(b) = f(b) + h(b), f(b) = ||y - X b||_2^2, h convex.
+
+    ``step(u, L)`` returns (z, h(z)), z the proximal point of u under h / (2L)
+    (a projection, with h(z) = 0, when h is the indicator of a convex set);
+    ``certificate`` is a pair (name, measure), measure(b, g) the optimality of
+    b from its half gradient g = X^T (X b - y).  Steps 1/(2L) on f,
+    sigma_max(X)^2 <= L <= (1 + 1e-6) sigma_max(X)^2, start from the FISTA
+    extrapolation v = x_k + m (x_k - x_{k-1}) of the kept iterates (Beck &
+    Teboulle 2009).  Each iteration takes one operator product, at
+    z = step(v - g(v) / L): g is affine, so g(v) = g_k + m (g_k - g_{k-1}), and
+    the product at z gives g(z) and f(z).  z is kept only if F(z) <= F(x_k) up to a tie
+    band of (n + d) eps f(0), the round-off of evaluating f; otherwise the
+    momentum is reset and the next iteration is a plain proximal step from x_k,
+    always kept, since no proximal step shorter than 2 / (2 sigma_max^2) raises
+    F.  The momentum is also reset when (v - z).(z - x_k) > 0, the gradient
+    restart (O'Donoghue & Candes 2015).  The loop exits converged once the
+    measure of the kept iterate, from its own exact gradient, is <= tol;
+    unconverged after ``max_iter`` iterations or at L = 0 (X = 0).  The
+    objective is ||y - X b||^2 from X, and info holds the last measure under
+    its name, L ("lipschitz"), the Lanczos steps ("lipschitz_steps"), the
+    momentum resets ("restarts") and, with ``record_trace``, the objective of
+    every kept iterate ("objective_trace").  ``feasible`` is left True for the
+    caller to judge.
+    """
+    name, measure = certificate
+    half_gradient, lip, lip_steps = _least_squares_gradient(X, y)
+    beta = beta_prev = np.zeros(X.shape[1])
+    g, f = half_gradient(beta)
+    g_prev, h = g, 0.0
+    # a rise below the round-off of evaluating f (which stays below f(0) = y.y) is a tie
+    tie = sum(X.shape) * np.finfo(float).eps * f
+    t = 1.0  # FISTA's momentum sequence; 1 means no momentum
+    restarts = 0
+    trace = []
+    converged = False
+    for it in range(1, max_iter + 1):  # max_iter >= 1, so certified and it are always bound
+        if record_trace:
+            r = X @ beta - y
+            trace.append(float(r @ r))
+        certified = measure(beta, g)
+        if certified <= tol:
+            converged = True
+            break
+        if lip == 0.0:
+            break
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        m = (t - 1.0) / t_next
+        # the half gradient is affine, so at the extrapolated point v it is g + m (g - g_prev)
+        v = beta + m * (beta - beta_prev)
+        z, h_z = step(v - (g + m * (g - g_prev)) / lip, lip)
+        g_z, f_z = half_gradient(z)
+        if m > 0.0 and f_z + h_z > f + h + tie:
+            t = 1.0  # rejected: the next iteration is a plain step from beta
+            restarts += 1
+            continue
+        if (v - z) @ (z - beta) > 0.0:
+            t = 1.0  # gradient restart: the step turned against the momentum
+            restarts += 1
+        else:
+            t = t_next
+        beta_prev, g_prev = beta, g
+        beta, g, f, h = z, g_z, f_z, h_z
+    r = y - X @ beta
+    obj = float(r @ r)
+    info = {name: certified, "lipschitz": lip, "lipschitz_steps": lip_steps, "restarts": restarts}
+    if record_trace:
+        info["objective_trace"] = trace + [obj]
+    return EstimateResult(beta_hat=beta, objective=obj, iterations=it, converged=converged,
+                          feasible=True, info=info)
 
 
 def l1_constrained_ls(
@@ -377,90 +457,21 @@ def l1_constrained_ls(
 ) -> EstimateResult:
     """Monotone FISTA for min f(b) = ||y - X b||_2^2 subject to ||b||_1 <= r1.
 
-    Projected steps of size 1/L along the gradient g = X^T (X b - y) of f / 2,
-    with sigma_max(X)^2 <= L <= (1 + 1e-6) sigma_max(X)^2 from Lanczos, taken
-    from the FISTA extrapolation v = x_k + m (x_k - x_{k-1}) of the kept
-    iterates (Beck & Teboulle 2009, IEEE Trans. Image Process. 18).  Each
-    iteration takes exactly one operator product, at the candidate
-    z = P(v - g(v) / L): g is affine, so g(v) = g_k + m (g_k - g_{k-1}) needs
-    none, and the product at z gives g(z) and f(z) together.  The candidate
-    is kept only if f(z) <= f(x_k), up to a tie band of (n + d) eps f(0), the
-    round-off of evaluating f; otherwise the momentum is reset and the next
-    iteration is a plain projected step from x_k, always kept, since a step
-    of at most 2 / sigma_max^2 onto a convex set cannot raise f.  The
-    momentum is also reset when (v - z).(z - x_k) > 0, the gradient restart
-    of O'Donoghue & Candes (2015, Found. Comput. Math. 15).  So no kept step
-    raises f by more than the tie band.  Convergence is certified by the Frank-Wolfe
-    duality gap at the kept iterate, from its own exact gradient: at exit
-    with converged=True the objective is within tol of the constrained
-    optimum.  info holds the gap, L ("lipschitz"), the Lanczos steps
-    ("lipschitz_steps") and the momentum resets ("restarts").
-
-    When n >= d the gradient is G b - c from G = X^T X and c = X^T y,
-    formed once per call (d^2 + d floats), f(b) = b.g - c.b + y.y, and
-    Lanczos runs on G; when n < d the residual X b - y gives both.  The
-    objective reported, and the trace of it that ``record_trace`` keeps, is
-    ||y - X b||^2 from X either way.
+    The ``_fista`` loop with the projection onto the l1-ball as its step,
+    certified by the Frank-Wolfe duality gap ("duality_gap" in info): at
+    exit with converged=True the objective is within tol of the constrained
+    optimum.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    require_scalars(_PARAMETER_RULES["radius"], radius=r1)
-    require_scalars(_PARAMETER_RULES["max_iter"], max_iter=max_iter)
-    require_scalars(_PARAMETER_RULES["tol"], tol=tol)
-    require_rows(X, y=y)
-    require_finite(X=X, y=y)
-    half_gradient, lip, lip_steps = _least_squares_gradient(X, y)
-    beta = beta_prev = np.zeros(X.shape[1])
-    g, f = half_gradient(beta)
-    g_prev = g
-    # a rise below the round-off of evaluating f (which stays below f(0) = y.y) is a tie
-    tie = sum(X.shape) * np.finfo(float).eps * f
-    t = 1.0  # FISTA's momentum sequence; 1 means no momentum
-    restarts = 0
-    trace = []
-    converged = False
-    for it in range(1, max_iter + 1):  # max_iter >= 1, so gap and it are always bound
-        if record_trace:
-            r = X @ beta - y
-            trace.append(float(r @ r))
+    X, y = _check_inputs(X, y, radius=r1, max_iter=max_iter, tol=tol)
+
+    def duality_gap(b, g):
         grad = 2.0 * g
-        gap = float(grad @ beta + r1 * np.max(np.abs(grad)))
-        if gap <= tol:
-            converged = True
-            break
-        if lip == 0.0:
-            break
-        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        m = (t - 1.0) / t_next
-        # the half gradient is affine, so at the extrapolated point v it is g + m (g - g_prev)
-        v = beta + m * (beta - beta_prev)
-        z = project_l1(v - (g + m * (g - g_prev)) / lip, r1)
-        g_z, f_z = half_gradient(z)
-        if m > 0.0 and f_z > f + tie:
-            t = 1.0  # rejected: the next iteration is a plain step from beta
-            restarts += 1
-            continue
-        if (v - z) @ (z - beta) > 0.0:
-            t = 1.0  # gradient restart: the step turned against the momentum
-            restarts += 1
-        else:
-            t = t_next
-        beta_prev, g_prev = beta, g
-        beta, g, f = z, g_z, f_z
-    r = y - X @ beta
-    obj = float(r @ r)
-    info = {"duality_gap": gap, "lipschitz": lip, "lipschitz_steps": lip_steps,
-            "restarts": restarts}
-    if record_trace:
-        info["objective_trace"] = trace + [obj]
-    return EstimateResult(
-        beta_hat=beta,
-        objective=obj,
-        iterations=it,
-        converged=converged,
-        feasible=ball_contains(BallSpec(q=1.0, radius=r1), beta, tol=1e-8),
-        info=info,
-    )
+        return float(grad @ b + r1 * np.max(np.abs(grad)))
+
+    res = _fista(X, y, lambda u, lip: (project_l1(u, r1), 0.0), ("duality_gap", duality_gap),
+                 max_iter, tol, record_trace)
+    res.feasible = ball_contains(BallSpec(q=1.0, radius=r1), res.beta_hat, tol=1e-8)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +505,7 @@ def lq_constrained_ls(
         raise ParameterError(f"lq solver requires q in (0, 1), got {ball.q}")
     if len(starts) == 0:
         raise ParameterError("need at least one start")
-    require_scalars(_PARAMETER_RULES["max_iter"], max_iter=max_iter)
-    require_scalars(_PARAMETER_RULES["tol"], tol=tol)
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    require_rows(X, y=y)
-    require_finite(X=X, y=y)
+    X, y = _check_inputs(X, y, max_iter=max_iter, tol=tol)
     starts = {f"start {i}": np.asarray(raw, dtype=float) for i, raw in enumerate(starts)}
     require_rows(X.T, **starts)  # X^T has d rows, so each start must have shape (d,)
     require_finite(**starts)
@@ -547,86 +553,45 @@ def lq_constrained_ls(
 # ---------------------------------------------------------------------------
 
 
-def _soft(x: float, t: float) -> float:
-    return math.copysign(max(abs(x) - t, 0.0), x)
+def _kkt_residual(b: np.ndarray, grad: np.ndarray, lam: float) -> float:
+    """The lasso's KKT residual at b from grad = X^T (y - X b) / n: the largest
+    of |grad_j| - lam off the support, |grad_j - lam sign(b_j)| on it, and 0."""
+    kkt = np.where(b == 0.0, np.abs(grad) - lam, np.abs(grad - lam * np.sign(b)))
+    return float(kkt.max(initial=0.0))
 
 
 def lasso(
     X: np.ndarray,
     y: np.ndarray,
     lam: float,
-    max_iter: int = 10_000,
+    max_iter: int = 20_000,
     tol: float = 1e-10,
 ) -> EstimateResult:
-    """Cyclic coordinate descent for (1/2n)||y - X b||_2^2 + lam ||b||_1.
+    """Monotone FISTA for min (1/2n)||y - X b||_2^2 + lam ||b||_1.
 
-    Runs pathwise: a geometric ladder of penalties from lam_max down to the
-    target, warm-starting each stage (cold starts crawl along flat
-    interpolation valleys on underdetermined designs when lam is tiny).
-    Each stage, including the final one at exactly ``lam``, exits when the
-    largest coordinate change in a sweep is <= tol.  Columns that are
-    identically zero are skipped and flagged in info; the KKT residual of
-    the final iterate is reported.
+    The ``_fista`` loop on 2n times the objective, f(b) + 2 n lam ||b||_1,
+    whose proximal step is the soft-threshold at lam n / L.  It stops,
+    converged, once the KKT residual of the kept iterate, from its own
+    exact gradient, is <= tol; ``iterations`` counts FISTA iterations, and
+    at lam >= lam_max = max_j |X_j^T y| / n the start b = 0 is certified at once.
+    info holds the KKT residual recomputed from X ("kkt_residual"), the
+    penalized objective and the all-zero columns of X ("skipped_columns",
+    whose coefficients stay 0), beside the loop's own entries.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    require_scalars(_PARAMETER_RULES["lam"], lam=lam)
-    require_scalars(_PARAMETER_RULES["max_iter"], max_iter=max_iter)
-    require_scalars(_PARAMETER_RULES["tol"], tol=tol)
-    require_rows(X, y=y)
-    require_finite(X=X, y=y)
-    n, d = X.shape
-    col_sq = np.einsum("ij,ij->j", X, X) / n
-    skipped = np.flatnonzero(col_sq == 0.0)
-    beta = np.zeros(d)
-    resid = y.copy()
+    X, y = _check_inputs(X, y, lam=lam, max_iter=max_iter, tol=tol)
+    n = X.shape[0]
 
-    lam_max = float(np.abs(X.T @ y).max()) / n if d else 0.0
-    if lam < lam_max:
-        ladder = list(np.geomspace(lam_max, max(lam, lam_max * 1e-10), LASSO_PATH_STEPS))
-        if ladder[-1] != lam:
-            ladder.append(lam)
-    else:
-        ladder = [lam]
+    def soft_threshold(u, lip):
+        z = u - np.clip(u, -lam * n / lip, lam * n / lip)
+        return z, 2.0 * n * lam * float(np.abs(z).sum())
 
-    total_sweeps = 0
-    for stage_lam in ladder:
-        converged = False
-        for _ in range(max_iter):
-            total_sweeps += 1
-            max_change = 0.0
-            for j in range(d):
-                if col_sq[j] == 0.0:
-                    continue
-                old = beta[j]
-                rho = float(X[:, j] @ resid) / n + col_sq[j] * old
-                new = _soft(rho, stage_lam) / col_sq[j]
-                if new != old:
-                    resid += X[:, j] * (old - new)
-                    beta[j] = new
-                    max_change = max(max_change, abs(new - old))
-            if max_change <= tol:
-                converged = True
-                break
-
-    resid = y - X @ beta  # refresh: the sweep updates accumulate roundoff
-    grad = X.T @ resid / n
-    active = col_sq != 0.0
-    g, b = grad[active], beta[active]
-    kkt = np.where(b == 0.0, np.abs(g) - lam, np.abs(g - lam * np.sign(b)))
-    obj = float(resid @ resid)
-    return EstimateResult(
-        beta_hat=beta,
-        objective=obj,
-        iterations=total_sweeps,
-        converged=converged,
-        feasible=True,
-        info={
-            "kkt_residual": float(kkt.max(initial=0.0)),
-            "penalized_objective": obj / (2 * n) + lam * float(np.abs(beta).sum()),
-            "skipped_columns": skipped.tolist(),
-        },
-    )
+    certificate = ("kkt_residual", lambda b, g: _kkt_residual(b, -g / n, lam))
+    res = _fista(X, y, soft_threshold, certificate, max_iter, tol)
+    b = res.beta_hat
+    res.info.update(kkt_residual=_kkt_residual(b, X.T @ (y - X @ b) / n, lam),
+                    penalized_objective=res.objective / (2 * n) + lam * float(np.abs(b).sum()),
+                    skipped_columns=np.flatnonzero(~X.any(axis=0)).tolist())
+    return res
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (CovarianceError, DimensionError, MembershipError, ParameterError, as_tuple,
-                     require_scalars, store_scalars)
+from .errors import (CovarianceError, DimensionError, MembershipError, ParameterError, as_scalar,
+                     as_tuple, require_rows, require_scalars, store_scalars)
 
 __all__ = [
     "BallSpec",
@@ -86,6 +86,8 @@ class DesignSpec:
     noise level tau, y / sqrt(n) = b + (tau / sqrt(n)) z is the normal
     sequence model.  A correlated spec checks and factors Sigma once, at
     construction, and holds the root Sigma^{1/2} (None for the other kinds).
+    n, d and seed are stored as Python ints under the ``index`` rule, and n or
+    d below 1 raises DimensionError.
     """
 
     kind: str
@@ -100,7 +102,8 @@ class DesignSpec:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ParameterError(f"unknown design kind {self.kind!r}")
-        if self.n <= 0 or self.d <= 0:
+        store_scalars(self, n="index", d="index", seed="index")
+        if self.n < 1 or self.d < 1:
             raise DimensionError(f"need n, d >= 1, got n={self.n}, d={self.d}")
         if self.kind == "identity_sequence" and self.n != self.d:
             raise DimensionError(
@@ -439,17 +442,21 @@ def instance_to_json(inst: ProblemInstance) -> str:
 
 
 def instance_from_json(text: str) -> ProblemInstance:
+    """Load what ``instance_to_json`` writes.  n and d are checked as counts, sigma
+    as a number >= 0 and seed as an integer >= 0 (ParameterError); X must hold n d
+    entries, beta_star d and y n (DimensionError)."""
     doc = json.loads(text)
-    n, d = int(doc["n"]), int(doc["d"])
+    n, d = as_scalar("count", "n", doc["n"]), as_scalar("count", "d", doc["d"])
     ball = None if doc.get("q") is None else BallSpec(q=doc["q"], radius=doc["radius"])
-    return ProblemInstance(
-        X=np.array(doc["X"], dtype=float).reshape(n, d),
-        beta_star=np.array(doc["beta_star"], dtype=float),
-        sigma=float(doc["sigma"]),
-        y=np.array(doc["y"], dtype=float),
-        seed=int(doc["seed"]),
-        ball=ball,
-    )
+    X, beta_star, y = (np.array(doc[key], dtype=float) for key in ("X", "beta_star", "y"))
+    if X.size != n * d:
+        raise DimensionError(f"X has {X.size} entries, expected n d = {n * d}")
+    X = X.reshape(n, d)
+    require_rows(X, y=y)
+    require_rows(X.T, beta_star=beta_star)  # X^T has d rows
+    return ProblemInstance(X=X, beta_star=beta_star, y=y, ball=ball,
+                           sigma=as_scalar("nonnegative", "sigma", doc["sigma"]),
+                           seed=as_scalar("index", "seed", doc["seed"]))
 
 
 def instance_to_csv(inst: ProblemInstance, path) -> None:

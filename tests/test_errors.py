@@ -148,6 +148,11 @@ _REFUSALS = [
     ("seed", lambda: kernel_diameter(_X, BallSpec(0.5, 1.0), seed=1.5)),
     ("seed", lambda: diagnose(_X, 1, seed=-1)),
     ("seed", lambda: verify_prop1(DesignSpec("standard_gaussian", 10, 4), seed=True)),
+    # DesignSpec checks n, d and seed when it is built; numpy's refusal was a bare TypeError
+    ("n", lambda: DesignSpec("standard_gaussian", 10.5, 4)),
+    ("n", lambda: DesignSpec("standard_gaussian", True, 4)),
+    ("d", lambda: DesignSpec("standard_gaussian", 10, 4.0)),
+    ("seed", lambda: DesignSpec("standard_gaussian", 10, 4, seed=1.5)),
 ]
 
 

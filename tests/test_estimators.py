@@ -274,7 +274,8 @@ def test_nonfinite_input_rejected(solver, bad, where):
         _SOLVERS[solver](X, y)
 
 
-@pytest.mark.parametrize("X_shape, y_shape", [((6, 4), (6, 1)), ((6, 4), (5,)), ((6,), (6,))])
+@pytest.mark.parametrize("X_shape, y_shape", [((6, 4), (6, 1)), ((6, 4), (5,)), ((6,), (6,)),
+                                              ((6, 0), (6,)), ((0, 4), (0,))])
 @pytest.mark.parametrize("solver", sorted(_SOLVERS))
 def test_misshaped_input_rejected(solver, X_shape, y_shape):
     X = np.random.default_rng(8).standard_normal(X_shape)
@@ -425,6 +426,11 @@ class TestLasso:
         res = lasso(X_COUNTER, np.array([1.0, 2.0]), lam=1e-6, max_iter=100_000)
         assert np.abs(res.beta_hat).sum() == pytest.approx(2.0 / 3.0, abs=1e-3)
         assert not np.allclose(res.beta_hat, [1.0, 0.0, 0.0], atol=0.1)
+
+    def test_counterexample_converges_within_default_max_iter(self):
+        res = lasso(X_COUNTER, np.array([1.0, 2.0]), lam=1e-6)
+        assert res.converged
+        assert res.info["kkt_residual"] <= 1e-10 + 1e-14
 
     def test_kkt_residual(self):
         rng = np.random.default_rng(21)
@@ -727,3 +733,64 @@ def test_accelerated_gap_certified_from_x_and_fewer_iterations(n, d):
         plain = _plain_l1_iterations(inst.X, inst.y, 4.0, res.info["lipschitz"],
                                      max_iter=3000, tol=1e-6)
         assert res.iterations < plain
+
+
+def _reference_lasso(X, y, lam, max_iter=10_000, tol=1e-10):
+    """The pathwise cyclic coordinate descent the lasso once ran, kept as an
+    independent reference: a geometric ladder of 50 penalties from lam_max
+    down to lam, each stage warm-started and swept until no coordinate moves
+    by more than tol; all-zero columns are skipped."""
+    n, d = X.shape
+    cols = list(np.asfortranarray(X).T)  # contiguous columns
+    col_sq = [float(c @ c) / n for c in cols]
+    beta = [0.0] * d
+    resid = y.copy()
+    lam_max = float(np.abs(X.T @ y).max()) / n
+    ladder = [lam]
+    if lam < lam_max:
+        ladder = list(np.geomspace(lam_max, max(lam, lam_max * 1e-10), 50))
+        ladder += [lam] if ladder[-1] != lam else []
+    for stage in ladder:
+        for _ in range(max_iter):
+            max_change = 0.0
+            for j in range(d):
+                if col_sq[j] == 0.0:
+                    continue
+                old = beta[j]
+                rho = float(cols[j] @ resid) / n + col_sq[j] * old
+                new = math.copysign(max(abs(rho) - stage, 0.0), rho) / col_sq[j]
+                if new != old:
+                    resid += cols[j] * (old - new)
+                    beta[j] = new
+                    max_change = max(max_change, abs(new - old))
+            if max_change <= tol:
+                break
+    return np.array(beta)
+
+
+@pytest.mark.parametrize("n, d", [(100, 50), (200, 100), (400, 200), (800, 400), (50, 100)])
+@pytest.mark.parametrize("penalty", ["detection", "small"])
+def test_lasso_matches_coordinate_descent_and_certifies_kkt_from_x(n, d, penalty):
+    # lam at twice the detection scale sigma sqrt(2 log d / n), or 0.01; the KKT
+    # residual recomputed from X may exceed tol by the round-off of the gradient,
+    # 2 (n + d) eps per unit of |X|^T (|X| |b| + |y|) / n, the scale of its terms
+    lam = 2.0 * math.sqrt(2.0 * math.log(d) / n) if penalty == "detection" else 0.01
+    for seed in range(3):
+        inst = _CRITERION3.draw(n, d, seed)
+        X, y = inst.X, inst.y
+        res = lasso(X, y, lam)
+        assert res.converged
+        ref = _reference_lasso(X, y, lam)
+        assert res.support == tuple(np.flatnonzero(ref))
+
+        def penalized(b):
+            r = y - X @ b
+            return float(r @ r) / (2 * n) + lam * float(np.abs(b).sum())
+
+        assert penalized(res.beta_hat) == pytest.approx(penalized(ref), rel=1e-12, abs=0.0)
+        assert res.info["penalized_objective"] == pytest.approx(penalized(ref), rel=1e-12)
+        b = res.beta_hat
+        grad = X.T @ (y - X @ b) / n
+        kkt = np.where(b == 0.0, np.abs(grad) - lam, np.abs(grad - lam * np.sign(b)))
+        scale = float(np.max(np.abs(X).T @ (np.abs(X) @ np.abs(b) + np.abs(y)))) / n
+        assert kkt.max() <= 1e-10 + 2 * (n + d) * np.finfo(float).eps * scale

@@ -69,6 +69,11 @@ class TestGenerateDesign:
         with pytest.raises(DimensionError):
             DesignSpec("standard_gaussian", n=0, d=4)
 
+    def test_numpy_integers_stored_as_python_ints(self):
+        spec = DesignSpec("standard_gaussian", np.int64(10), np.int32(4), seed=np.uint64(3))
+        assert [type(v) for v in (spec.n, spec.d, spec.seed)] == [int, int, int]
+        assert spec == DesignSpec("standard_gaussian", 10, 4, seed=3)
+
     def test_non_psd_covariance_rejected(self):
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         with pytest.raises(CovarianceError):
@@ -290,6 +295,19 @@ class TestSerialization:
         doc = json.loads(instance_to_json(inst))
         assert set(doc) == {"n", "d", "q", "radius", "sigma", "seed", "X", "beta_star", "y"}
         assert len(doc["X"]) == 9  # row-major flattening
+
+    @pytest.mark.parametrize("key, value, error, message", [
+        ("sigma", "0.5", ParameterError, r"^'sigma' must be a finite number >= 0, got '0.5'$"),
+        ("seed", 3.9, ParameterError, r"^'seed' must be an integer >= 0, got 3.9$"),
+        ("X", [1.0] * 8, DimensionError, r"^X has 8 entries, expected n d = 9$"),
+        ("beta_star", [0.0] * 2, DimensionError, r"^beta_star has shape \(2,\), expected \(3,\)$"),
+        ("y", [0.0] * 4, DimensionError, r"^y has shape \(4,\), expected \(3,\)$"),
+        ("n", 3.0, ParameterError, r"^'n' must be an integer >= 1, got 3.0$"),
+    ], ids=["sigma_string", "seed_fraction", "short_X", "short_beta_star", "long_y", "n_float"])
+    def test_json_value_refused_not_cast(self, key, value, error, message):
+        doc = json.loads(instance_to_json(_sequence_instance(3, 1.0, BallSpec(1.0, 2.0), seed=3)))
+        with pytest.raises(error, match=message):
+            instance_from_json(json.dumps({**doc, key: value}))
 
     def test_csv_export(self, tmp_path):
         inst = _sequence_instance(3, 1.0, BallSpec(0.0, 1))
