@@ -164,12 +164,13 @@ def _top_ritz_pair(alphas: np.ndarray, betas: np.ndarray) -> tuple:
     return float(w[0]), float(u[-1, 0])
 
 
-def _least_squares_gradient(X: np.ndarray, y: np.ndarray) -> tuple:
+def _least_squares_gradient(X: np.ndarray, y: np.ndarray, c: Optional[np.ndarray] = None) -> tuple:
     """(half_gradient, L, steps) for the objective f(b) = ||y - X b||^2:
     half_gradient(b) is the pair (X^T (X b - y), f(b)) from one operator
     product, and L the ``_lipschitz`` bound on sigma_max(X)^2.
 
-    When n >= d, G = X^T X and c = X^T y are formed once, the gradient is
+    When n >= d, G = X^T X and c = X^T y (``c``, if the caller formed it) are
+    formed once, the gradient is
     g = G b - c, f(b) = b.g - c.b + y.y, and Lanczos runs on G; its round-off
     pad (2n + d) eps also covers the rounding of G.  When n < d the residual
     r = X b - y gives both X^T r and r.r, and Lanczos runs on X X^T with pad
@@ -178,7 +179,7 @@ def _least_squares_gradient(X: np.ndarray, y: np.ndarray) -> tuple:
     n, d = X.shape
     eps = np.finfo(float).eps
     if n >= d:
-        G, c, yy = X.T @ X, X.T @ y, float(y @ y)
+        G, c, yy = X.T @ X, X.T @ y if c is None else c, float(y @ y)
 
         def gram_form(b):
             g = G @ b - c
@@ -235,14 +236,20 @@ def _l0_identity(X: np.ndarray, y: np.ndarray, s: int, c: float) -> EstimateResu
 def l0_least_squares(X: np.ndarray, y: np.ndarray, s: int) -> EstimateResult:
     """Exact least squares over the l0-ball: min ||y - X b||_2^2 s.t. ||b||_0 <= s.
 
-    Scores every size-s support, in lexicographic order, from the Gram
-    matrix.  Supports are grouped by their first s - 1 entries, the prefix
-    P: the Cholesky rows W = L_P^{-1} G[P, :] and z = L_P^{-1} c_P of a
-    prefix are built once, and every completion j > max(P) is scored at
-    once by the Schur complement
+    Scores every size-s support, in lexicographic order, from G = X^T X and
+    r = X^T y.  A support is a prefix P of s - 2 columns (empty when
+    s <= 2) and a pair c < j after max(P); s = 1 scores single columns.  The
+    Cholesky rows W = L_P^{-1} G[P, :] and z = L_P^{-1} r_P of a prefix are
+    built once, and give for every column c the last pivot
+    D_c = G_cc - ||W_c||^2, U_c = r_c - W_c . z and the residual
+    V_c = (y^T y - ||z||^2) - U_c^2 / D_c of P + c.  Each pair is then
+    scored in closed form by two Schur complement steps, as in leaps and
+    bounds (Furnival & Wilson 1974, Technometrics 16):
 
-        RSS(P + j) = (y^T y - ||z||^2) - (c_j - W_j . z)^2 / (G_jj - ||W_j||^2).
+        S = G_cj - W_c . W_j,  pivot = D_j - S^2 / D_c,
+        RSS(P + c + j) = V_c - (U_j - (S / D_c) U_c)^2 / pivot,
 
+    at most ``_PAIR_BLOCK`` supports a pass, in buffers allocated once per call.
     A support is redone by lstsq (``_unit_lstsq``) when some pivot of its
     factor, prefix pivots included, is not both finite and above 1e-12
     times its column's diagonal Gram entry (zero or duplicated columns), or
@@ -281,20 +288,11 @@ def l0_least_squares(X: np.ndarray, y: np.ndarray, s: int) -> EstimateResult:
     if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(corr))):
         raise ParameterError("X^T X is not finite: X has non-finite or overflowing entries")
     yy = float(y @ y)
-
-    # prefixes end before column d - 1, so each has a completion
-    prefix_chunks = (support_chunks(d - 1, s - 1, per_support=(s - 1) * d) if s > 1
-                     else [np.zeros((1, 0), dtype=np.intp)])
-    best_obj = math.inf
-    best_support: Optional[np.ndarray] = None
-    n_lstsq = 0
-    for chunk in prefix_chunks:
-        resid, redone = _completion_residuals(X, y, gram, corr, yy, chunk)
-        n_lstsq += redone
-        i, j = divmod(int(np.argmin(resid)), d)
-        if resid[i, j] < best_obj:
-            best_obj = float(resid[i, j])
-            best_support = np.append(chunk[i], j)
+    floor = -1e-8 * max(yy, 1.0)  # a residual below it is cancellation, not a fit
+    if s == 1:
+        best_support, n_lstsq = _best_column(X, y, gram, corr, yy, floor)
+    else:
+        best_support, n_lstsq = _best_prefix_pair(X, y, gram, corr, yy, s, floor)
 
     X_S = X[:, best_support]
     b, _, rank, _ = np.linalg.lstsq(X_S, y, rcond=1e-12)
@@ -314,23 +312,23 @@ def l0_least_squares(X: np.ndarray, y: np.ndarray, s: int) -> EstimateResult:
     )
 
 
-def _completion_residuals(X, y, gram, corr, yy, prefixes) -> tuple[np.ndarray, int]:
-    """(resid, redone): resid[i, j] = ||y - X_S b_S||^2 for S = prefixes[i] + (j,).
+_PAIR_BLOCK = 4096  # supports scored per pass; the pass's flat buffers stay in cache
+_V, _D, _U = range(3)  # fields of P + c, for a prefix P and a column c; the rows W follow
 
-    Entries with j <= max(prefixes[i]) are inf, so a row-major argmin walks
-    the supports in lexicographic order.  Untrusted supports (see
-    ``l0_least_squares``) are redone with lstsq; ``redone`` counts them.
-    Every (m, d) array is written in place: fresh pages, not flops, bound
-    this pass.
+
+def _prefix_fields(gram, corr, yy, prefixes, A) -> None:
+    """Write the fields of P + c, for each prefix P (a row of ``prefixes``) and
+    column c, into A[:, P, c]: V, D and U as ``l0_least_squares`` defines
+    them (``corr`` is r = X^T y), and the Cholesky rows W in A[3:].
+    D is NaN where a pivot of P + c is not both finite and above 1e-12 times
+    its column's diagonal Gram entry, so every score that divides by it is
+    NaN and fails the trust test.
     """
     m, k = prefixes.shape
-    d = gram.shape[0]
     diag = np.diagonal(gram)
     rows = np.arange(m)
-    W = np.empty((k, m, d))  # W[i] = row i of L_P^{-1} G[P, :], per prefix
-    z = np.empty((k, m))  # z[i] = entry i of L_P^{-1} c_P
-    pivots = np.empty((m, d))
-    resid = np.empty((m, d))
+    V, D, U, W = A[_V], A[_D], A[_U], A[_U + 1:]
+    z = np.empty((k, m))  # z[i] = entry i of L_P^{-1} r_P
     trusted = np.ones(m, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(k):
@@ -340,23 +338,129 @@ def _completion_residuals(X, y, gram, corr, yy, prefixes) -> tuple[np.ndarray, i
             trusted &= pivot > 1e-12 * diag[p]
             root = np.sqrt(pivot)
             z[i] = (corr[p] - np.einsum("lm,lm->m", wp, z[:i])) / root
-            np.einsum("lm,lmd->md", wp, W[:i], out=resid)  # resid is free until the end
+            np.einsum("lm,lmd->md", wp, W[:i], out=V)  # V is free until the end
             np.take(gram, p, axis=0, out=W[i], mode="clip")  # "raise" would buffer out
-            W[i] -= resid
+            W[i] -= V
             W[i] /= root[:, None]
-        np.subtract(diag, np.einsum("kmd,kmd->md", W, W, out=pivots), out=pivots)
-        np.subtract(corr, np.einsum("km,kmd->md", z, W, out=resid), out=resid)
-        resid *= resid
-        resid /= pivots
-        np.subtract((yy - np.einsum("km,km->m", z, z))[:, None], resid, out=resid)
-        trusted = trusted[:, None] & (pivots > 1e-12 * diag)
-        trusted &= resid >= -1e-8 * max(yy, 1.0)
-    later = np.arange(d) > (prefixes[:, -1:] if k else np.full((m, 1), -1))
-    redo = np.argwhere(later & ~trusted)
-    for i, j in redo:
-        resid[i, j] = _unit_lstsq(X[:, np.append(prefixes[i], j)], y)[1]
-    resid[~later] = math.inf
-    return np.maximum(resid, 0.0, out=resid), len(redo)
+        np.subtract(diag, np.einsum("kmd,kmd->md", W, W, out=D), out=D)
+        np.subtract(corr, np.einsum("km,kmd->md", z, W, out=U), out=U)
+        D[~(trusted[:, None] & (D > 1e-12 * diag))] = np.nan
+        np.multiply(U, U, out=V)
+        V /= D
+        np.subtract((yy - np.einsum("km,km->m", z, z))[:, None], V, out=V)
+
+
+def _best_column(X, y, gram, corr, yy, floor) -> tuple:
+    """(support, redone) for s = 1: the column of least residual, from the
+    fields of the empty prefix, after redoing by lstsq each column whose D is
+    NaN or whose residual falls below ``floor``."""
+    A = np.empty((3, 1, gram.shape[0]))
+    _prefix_fields(gram, corr, yy, np.zeros((1, 0), dtype=np.intp), A)
+    resid = A[_V, 0]
+    redo = np.flatnonzero(~(resid >= floor))
+    for j in redo:
+        resid[j] = _unit_lstsq(X[:, [j]], y)[1]
+    return np.argmin(np.maximum(resid, 0.0, out=resid), keepdims=True), len(redo)
+
+
+def _best_prefix_pair(X, y, gram, corr, yy, s, floor) -> tuple:
+    """(support, redone) for s >= 2: the support P + (c, j) of least residual,
+    with P a prefix of size s - 2 from ``support_chunks`` and c < j after
+    max(P), scored in lexicographic order by the closed form of
+    ``l0_least_squares`` (t = S / D_c), at most ``_PAIR_BLOCK`` supports a
+    pass; ``argmin`` in a pass and a strict ``<`` across passes keep the
+    first of equal residuals.
+
+    The pairs of a prefix that ends at b are the suffix of the lexicographic
+    pair list (``np.triu_indices(d, 1)``) from (b + 1, b + 2) on, so a
+    chunk's supports are a stream of such suffixes, cut into passes; a pass
+    repeats each prefix over its share of the pass and looks its pairs up in
+    that list.  A support is untrusted, and redone by ``_unit_lstsq``, when
+    D_c is NaN, when pivot <= 1e-12 G_jj, or when RSS falls below ``floor``.
+    The fields and the pass buffers are allocated once per call and
+    rewritten in place.
+    """
+    d = gram.shape[0]
+    k = s - 2
+    # the pairs that follow some prefix: those from (k, k + 1) on, the first
+    # after the prefix (0, ..., k - 1); first[b] is where the pairs of a prefix
+    # ending at b start among them
+    pair_c, pair_j = (a[math.comb(d, 2) - math.comb(d - k, 2):] for a in np.triu_indices(d, 1))
+    first = np.searchsorted(pair_c, np.arange(1, d + 1))
+    n_pairs = len(pair_c)
+    threshold = 1e-12 * np.diagonal(gram)
+    g_flat = gram.reshape(-1)
+    size = min(_PAIR_BLOCK, math.comb(d, s))
+    offsets = np.arange(size)
+    pos, flat_c, flat_j = np.empty((3, size), dtype=np.intp)
+    at_c, at_j = np.empty((3 + k, size)), np.empty((2 + k, size))
+    schur, thr = np.empty((2, size))
+    trusted = np.empty(size, dtype=bool)
+    store = np.empty(0)
+    best_obj, best_support, n_lstsq = math.inf, None, 0
+
+    def support(i):  # of entry i of the current pass
+        return np.append(prefixes[row_at[i] // d], (flat_c[i] - row_at[i], flat_j[i] - row_at[i]))
+
+    # prefixes end before column d - 2, so each has a pair of completions
+    chunks = (support_chunks(d - 2, k, per_support=(3 + k) * d) if k
+              else [np.zeros((1, 0), dtype=np.intp)])
+    for prefixes in chunks:
+        m = len(prefixes)
+        if store.size < (3 + k) * m * d:
+            store = np.empty((3 + k) * m * d)
+        A = store[:(3 + k) * m * d].reshape(3 + k, m, d)
+        _prefix_fields(gram, corr, yy, prefixes, A)
+        flat = A.reshape(3 + k, m * d)
+        starts = first[prefixes[:, -1]] if k else np.zeros(1, dtype=np.intp)
+        run_end = np.cumsum(n_pairs - starts)  # where each prefix's run ends in the stream
+        run_start = run_end - (n_pairs - starts)
+        total = int(run_end[-1])
+        for lo in range(0, total, size):
+            hi = min(lo + size, total)
+            L = hi - lo
+            p, c, fj, ok, S, th = (buf[:L] for buf in (pos, flat_c, flat_j, trusted, schur, thr))
+            # the prefixes whose runs meet [lo, hi), and each one's share of it
+            first_row = np.searchsorted(run_end, lo, side="right")
+            end_row = np.searchsorted(run_start, hi)
+            share = slice(first_row, end_row)
+            counts = np.minimum(run_end[share], hi) - np.maximum(run_start[share], lo)
+            np.add(offsets[:L], np.repeat(starts[share] - run_start[share] + lo, counts), out=p)
+            row_at = np.repeat(np.arange(first_row, end_row) * d, counts)  # offsets in the fields
+            np.take(pair_c, p, out=c, mode="clip")
+            np.take(pair_j, p, out=fj, mode="clip")
+            np.take(threshold, fj, out=th, mode="clip")
+            np.multiply(c, d, out=p)
+            p += fj
+            np.take(g_flat, p, out=S, mode="clip")
+            c += row_at
+            fj += row_at
+            np.take(flat, c, axis=1, out=at_c[:, :L], mode="clip")
+            np.take(flat[_D:], fj, axis=1, out=at_j[:, :L], mode="clip")  # V_j is not needed
+            V_c, t, num, W_c = at_c[_V, :L], at_c[_D, :L], at_c[_U, :L], at_c[_U + 1:, :L]
+            pivot, U_j, W_j = at_j[0, :L], at_j[1, :L], at_j[2:, :L]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                for l in range(k):
+                    W_c[l] *= W_j[l]
+                    S -= W_c[l]
+                np.divide(S, t, out=t)  # t = S / D_c
+                S *= t
+                pivot -= S  # D_j - S t
+                num *= t
+                np.subtract(U_j, num, out=num)
+                num *= num
+                num /= pivot
+                resid = np.subtract(V_c, num, out=V_c)
+                np.greater(pivot, th, out=ok)
+                ok &= resid >= floor
+            redo = np.flatnonzero(~ok)
+            for i in redo:
+                resid[i] = _unit_lstsq(X[:, support(i)], y)[1]
+            n_lstsq += len(redo)
+            i = int(np.argmin(np.maximum(resid, 0.0, out=resid)))
+            if resid[i] < best_obj:
+                best_obj, best_support = float(resid[i]), support(i)
+    return best_support, n_lstsq
 
 
 def _unit_lstsq(X_S: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -397,12 +501,24 @@ def _fista(X, y, step, certificate, max_iter, tol, record_trace=False) -> Estima
     objective is ||y - X b||^2 from X, and info holds the last measure under
     its name, L ("lipschitz"), the Lanczos steps ("lipschitz_steps"), the
     momentum resets ("restarts") and, with ``record_trace``, the objective of
-    every kept iterate ("objective_trace").  ``feasible`` is left True for the
+    every kept iterate ("objective_trace").  The measure at b = 0 is taken
+    first, from c = X^T y alone: when it is <= tol, b = 0 returns converged
+    at iteration 1 before G or L is formed, with "lipschitz_steps" 0 and no
+    "lipschitz", since no L was computed.  ``feasible`` is left True for the
     caller to judge.
     """
     name, measure = certificate
-    half_gradient, lip, lip_steps = _least_squares_gradient(X, y)
+    c = X.T @ y
     beta = beta_prev = np.zeros(X.shape[1])
+    certified = measure(beta, -c)  # -c is the half gradient at b = 0
+    if certified <= tol:  # b = 0 is certified before G or L is formed
+        obj = float(y @ y)
+        info = {name: certified, "lipschitz_steps": 0, "restarts": 0}
+        if record_trace:
+            info["objective_trace"] = [obj, obj]
+        return EstimateResult(beta_hat=beta, objective=obj, iterations=1, converged=True,
+                              feasible=True, info=info)
+    half_gradient, lip, lip_steps = _least_squares_gradient(X, y, c)
     g, f = half_gradient(beta)
     g_prev, h = g, 0.0
     # a rise below the round-off of evaluating f (which stays below f(0) = y.y) is a tie
@@ -573,7 +689,9 @@ def lasso(
     whose proximal step is the soft-threshold at lam n / L.  It stops,
     converged, once the KKT residual of the kept iterate, from its own
     exact gradient, is <= tol; ``iterations`` counts FISTA iterations, and
-    at lam >= lam_max = max_j |X_j^T y| / n the start b = 0 is certified at once.
+    at lam >= lam_max = max_j |X_j^T y| / n the start b = 0 is certified at
+    iteration 1 from X^T y alone, before G or the Lanczos bound is formed, so
+    info then has "lipschitz_steps" 0 and no "lipschitz".
     info holds the KKT residual recomputed from X ("kkt_residual"), the
     penalized objective and the all-zero columns of X ("skipped_columns",
     whose coefficients stay 0), beside the loop's own entries.

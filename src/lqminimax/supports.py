@@ -9,9 +9,9 @@ ties toward the lexicographically smallest support.  ``check_budget`` is
 the one place that raises ``EnumerationBudgetError``; it runs before
 anything is built.  A chunk holds at most ``CHUNK_ENTRIES // per_support``
 supports (at least one), where ``per_support`` counts the numbers a caller
-stacks per support, such as the k rows of d Cholesky entries exact l0
-keeps per size-k prefix, or an n x k column block, so no stacked array
-outgrows ``CHUNK_ENTRIES`` numbers.
+stacks per support, such as the k + 3 rows of d entries exact l0 keeps per
+size-k prefix (its k Cholesky rows and three fields per column), or an
+n x k column block, so no stacked array outgrows ``CHUNK_ENTRIES`` numbers.
 """
 
 from __future__ import annotations
@@ -73,5 +73,8 @@ def _extend(prefixes: np.ndarray, d: int, k: int) -> np.ndarray:
     start = prefixes[:, -1] + 1 if j else np.zeros(1, dtype=np.intp)
     reps = d - k + j + 1 - start  # element j of a size-k support is at most d - k + j
     offsets = np.cumsum(reps) - reps
-    nxt = np.arange(reps.sum(), dtype=np.intp) + np.repeat(start - offsets, reps)
-    return np.concatenate((np.repeat(prefixes, reps, axis=0), nxt[:, None]), axis=1)
+    out = np.empty((int(reps.sum()), j + 1), dtype=np.intp)
+    out[:, j] = np.arange(len(out), dtype=np.intp) + np.repeat(start - offsets, reps)
+    for i in range(j):  # one column at a time: 1-D repeats are several times faster
+        out[:, i] = np.repeat(prefixes[:, i], reps)
+    return out

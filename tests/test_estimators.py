@@ -254,6 +254,57 @@ class TestL0:
         assert res.info["n_supports"] == math.comb(40, 5)
         assert peak <= 2 * supports.CHUNK_ENTRIES * 8
 
+    def test_ties_across_pair_passes_lexicographic(self, monkeypatch):
+        # column 5 duplicates column 2, so (0, 2) and (0, 5) fit y through
+        # identical arithmetic; three pairs a pass put them in different passes
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((10, 8))
+        X[:, 5] = X[:, 2]
+        y = X[:, 0] + X[:, 2]
+        monkeypatch.setattr(estimators, "_PAIR_BLOCK", 3)
+        pairs = list(combinations(range(8), 2))
+        assert pairs.index((0, 2)) // 3 != pairs.index((0, 5)) // 3
+        assert l0_least_squares(X, y, s=2).support == (0, 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 10), st.integers(2, 8), st.integers(1, 3), st.data())
+    def test_pair_passes_match_brute_force_property(self, n, d, block, data):
+        # one to three supports a pass, so every instance spans passes; the
+        # scores do not depend on the cut, so support and lstsq count match
+        # the default passes, and the objective matches brute force
+        s = data.draw(st.integers(1, d), label="s")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        X = rng.standard_normal((n, d))
+        y = X[:, :s] @ rng.standard_normal(s) + 0.1 * rng.standard_normal(n)
+        for j in range(d):
+            defect = data.draw(st.sampled_from(["none", "zero", "duplicate"]))
+            if defect == "zero":
+                X[:, j] = 0.0
+            elif defect == "duplicate":
+                X[:, j] = X[:, data.draw(st.integers(0, d - 1))]
+        whole = l0_least_squares(X, y, s)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimators, "_PAIR_BLOCK", block)
+            res = l0_least_squares(X, y, s)
+        assert (res.support, res.info) == (whole.support, whole.info)
+        _, obj = brute_force_l0(X, y, s)
+        assert abs(res.objective - obj) <= 1e-10 * max(obj, 1.0)
+
+    def test_pair_kernel_memory(self):
+        # the q = 0 grid's solve: fields of 435 prefixes and one pass's buffers
+        # (scoring every (3-prefix, column) entry would peak at 6.4 MiB)
+        rng = np.random.default_rng(41)
+        X = rng.standard_normal((400, 32))
+        y = X[:, :4].sum(axis=1) + rng.standard_normal(400)
+        tracemalloc.start()
+        try:
+            res = l0_least_squares(X, y, s=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.support == (0, 1, 2, 3)
+        assert peak <= 2 << 20
+
 
 _SOLVERS = {
     "l0": lambda X, y: l0_least_squares(X, y, s=2),
@@ -420,6 +471,23 @@ class TestLasso:
         lam_max = np.abs(X.T @ y).max() / 20
         res = lasso(X, y, lam=lam_max * 1.001)
         assert np.all(res.beta_hat == 0.0)
+
+    @pytest.mark.parametrize("shape", [(40, 6), (6, 40)], ids=["gram_form", "x_form"])
+    def test_lambda_max_certified_from_xty_alone(self, monkeypatch, shape):
+        # b = 0 is certified by X^T y before G or the Lanczos bound is formed
+        def no_gradient(*args):
+            raise AssertionError("formed G or ran Lanczos")
+
+        monkeypatch.setattr(estimators, "_least_squares_gradient", no_gradient)
+        rng = np.random.default_rng(2)
+        X = rng.standard_normal(shape)
+        y = rng.standard_normal(shape[0])
+        lam_max = np.abs(X.T @ y).max() / shape[0]
+        res = lasso(X, y, lam=lam_max)
+        assert np.all(res.beta_hat == 0.0) and res.converged and res.iterations == 1
+        assert res.info["kkt_residual"] <= 1e-10
+        assert res.info["lipschitz_steps"] == 0 and "lipschitz" not in res.info
+        assert res.objective == float(y @ y)
 
     def test_counterexample_failure(self):
         # the l1 route lands at norm 2/3, away from the 1-sparse truth
