@@ -1,8 +1,9 @@
 """Constrained least-squares estimators over lq-balls, plus the Lasso.
 
-q = 0 is solved exactly by support enumeration; q in (0, 1) by multi-start
-projected gradient with a feasibility heuristic (no global guarantee; use an
-oracle warm start in simulations).  q = 1 and the Lasso share one loop,
+q = 0 is solved exactly by support enumeration, pruned by leaps and bounds
+when the design allows; q in (0, 1) by multi-start projected gradient with
+a feasibility heuristic (no global guarantee; use an oracle warm start in
+simulations).  q = 1 and the Lasso share one loop,
 ``_fista``: monotone FISTA (Beck & Teboulle 2009, IEEE Trans. Image Process.
 18) with gradient-based adaptive restart (O'Donoghue & Candes 2015, Found.
 Comput. Math. 15), stepping by the projection onto the l1-ball or by the
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dstebz, dstein
+from scipy.linalg.lapack import dpotrf, dstebz, dstein, dtrtri
 
 from .ballgeom import ball_contains, project_l1, project_lq_heuristic
 from .errors import ParameterError, require_finite, require_rows, require_scalars
@@ -236,9 +237,17 @@ def _l0_identity(X: np.ndarray, y: np.ndarray, s: int, c: float) -> EstimateResu
 def l0_least_squares(X: np.ndarray, y: np.ndarray, s: int) -> EstimateResult:
     """Exact least squares over the l0-ball: min ||y - X b||_2^2 s.t. ||b||_0 <= s.
 
-    Scores every size-s support, in lexicographic order, from G = X^T X and
-    r = X^T y.  A support is a prefix P of s - 2 columns (empty when
-    s <= 2) and a pair c < j after max(P); s = 1 scores single columns.  The
+    Finds the best size-s support from G = X^T X and r = X^T y, whose
+    entries for exactly equal columns are first made bit-equal
+    (``_tie_duplicates``).  A support is a prefix P of s - 2 columns (empty
+    when s <= 2) and a pair c < j after max(P); s = 1 scores single columns.
+    For s >= 3 the columns are reordered and the prefixes whose leaps-and-
+    bounds lower bound exceeds an incumbent are skipped, unless a test on
+    the bound's factor sends the call to full enumeration in the original
+    order (``_best_prefix_pair`` states the order, the bound, its margin and
+    the test); info["scored_supports"] counts the supports scored, while
+    info["n_supports"] and ``iterations`` stay C(d, s), the count the
+    enumeration budget is checked on.  The
     Cholesky rows W = L_P^{-1} G[P, :] and z = L_P^{-1} r_P of a prefix are
     built once, and give for every column c the last pivot
     D_c = G_cc - ||W_c||^2, U_c = r_c - W_c . z and the residual
@@ -255,7 +264,8 @@ def l0_least_squares(X: np.ndarray, y: np.ndarray, s: int) -> EstimateResult:
     times its column's diagonal Gram entry (zero or duplicated columns), or
     when its residual falls below -1e-8 max(y^T y, 1) (cancellation);
     info["lstsq_supports"] counts them.  Supports whose residuals come out
-    equal go to the lexicographically smallest; that settles a tie only when
+    equal go to the lexicographically smallest, in the original column
+    order whatever order they were scored in; that settles a tie only when
     the tied residuals are computed through identical arithmetic, as for
     exactly duplicated columns.  A column and a scaled copy of it (-3x,
     1e-3x) tie only mathematically, and round-off orders those supports.
@@ -287,12 +297,14 @@ def l0_least_squares(X: np.ndarray, y: np.ndarray, s: int) -> EstimateResult:
     # a non-finite entry of X reaches its column's diagonal Gram entry
     if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(corr))):
         raise ParameterError("X^T X is not finite: X has non-finite or overflowing entries")
+    _tie_duplicates(X, gram, corr)
     yy = float(y @ y)
     floor = -1e-8 * max(yy, 1.0)  # a residual below it is cancellation, not a fit
     if s == 1:
         best_support, n_lstsq = _best_column(X, y, gram, corr, yy, floor)
+        n_scored = d
     else:
-        best_support, n_lstsq = _best_prefix_pair(X, y, gram, corr, yy, s, floor)
+        best_support, n_lstsq, n_scored = _best_prefix_pair(X, y, gram, corr, yy, s, floor)
 
     X_S = X[:, best_support]
     b, _, rank, _ = np.linalg.lstsq(X_S, y, rcond=1e-12)
@@ -308,8 +320,30 @@ def l0_least_squares(X: np.ndarray, y: np.ndarray, s: int) -> EstimateResult:
         converged=True,
         feasible=True,
         info={"method": "l0_enumeration", "n_supports": n_supports,
-              "lstsq_supports": n_lstsq},
+              "scored_supports": n_scored, "lstsq_supports": n_lstsq},
     )
+
+
+def _tie_duplicates(X, gram, corr) -> None:
+    """Give every column of X that equals an earlier one that first copy's
+    Gram row and column and X^T y entry, in place.  BLAS forms X^T X and
+    X^T y in blocks that round differently, so equal columns can get entries
+    that differ in the last bit, and the tie rule for duplicated columns
+    needs them equal.  Candidate pairs are columns whose squared norms G_jj
+    agree within 1e-8 relative, far looser than the rounding of an exact
+    copy; ``np.array_equal`` confirms each."""
+    diag = np.diagonal(gram).copy()
+    ranked = np.sort(diag)
+    if np.all(np.diff(ranked) > 1e-8 * ranked[1:]):
+        return  # no two norms agree, the common case
+    near = np.abs(diag[:, None] - diag) <= 1e-8 * np.maximum(diag[:, None], diag)
+    copied = set()
+    for i, j in zip(*np.nonzero(np.triu(near, 1))):  # row-major: i is the first copy
+        if j not in copied and np.array_equal(X[:, i], X[:, j]):
+            gram[j] = gram[i]
+            gram[:, j] = gram[:, i]
+            corr[j] = corr[i]
+            copied.add(j)
 
 
 _PAIR_BLOCK = 4096  # supports scored per pass; the pass's flat buffers stay in cache
@@ -363,13 +397,114 @@ def _best_column(X, y, gram, corr, yy, floor) -> tuple:
     return np.argmin(np.maximum(resid, 0.0, out=resid), keepdims=True), len(redo)
 
 
+_BOUND_PIVOT = 1e-8  # least pivot^2 / diagonal the bound factor may have; below it, enumerate all
+
+
+def _bound_factor(gram, corr, yy):
+    """(order, factor, margin) for the pruned scan of ``_best_prefix_pair``, or
+    None, which sends the call to full enumeration: ``order`` sorts the
+    columns by |r_j| / sqrt(G_jj), ``factor`` is the lower Cholesky factor
+    of the y-augmented Gram M in the reversed order, and ``margin`` the
+    round-off margin that ``_best_prefix_pair`` argues for."""
+    d = len(corr)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = np.abs(corr) / np.sqrt(np.diagonal(gram))
+    order = np.argsort(-score, kind="stable")
+    rev = order[::-1]
+    M = np.empty((d + 1, d + 1))
+    M[:d, :d] = gram[np.ix_(rev, rev)]
+    M[d, :d] = corr[rev]  # dpotrf reads the lower triangle only
+    M[d, d] = yy
+    scale = np.diagonal(M).copy()
+    factor, info = dpotrf(M, lower=1)
+    with np.errstate(invalid="ignore", over="ignore"):  # an infinite margin prunes nothing
+        if info != 0 or not np.all(np.diagonal(factor) ** 2 >= _BOUND_PIVOT * scale):
+            return None
+        inverse = dtrtri(factor, lower=1)[0] * np.sqrt(scale)  # H^{-1}, H = D^{-1/2} factor
+        gamma = (d + 2) * np.finfo(float).eps
+        margin = 2.0 * (d + 1) * gamma * yy * float(np.einsum("ij,ij->", inverse, inverse))
+    return order, factor, margin
+
+
+def _prefix_bounds(factor, prefixes) -> np.ndarray:
+    """LB(P) = RSS(P + every column after max P) for each row P of
+    ``prefixes`` (positions in the reordered columns), from the reversed
+    factor F of ``_bound_factor``.  The columns after max P, then max P, lead
+    the reversed order, so F's rows u, v for the other columns of P and for
+    y give the Gram C_uv = sum of F_uc F_vc over F's columns c after max P's
+    of their residuals on those leading columns; eliminating P's columns
+    from C leaves LB(P).  Tail sums over c give C's diagonal and y column
+    without a per-prefix product.  A NaN bound (a zero pivot of C) is never
+    pruned."""
+    d = factor.shape[0] - 1
+    m, k = prefixes.shape
+    at = d - 1 - prefixes  # positions in the reversed factor; max P is at[:, -1]
+    after = at[:, -1] + 1  # F's first column after max P's
+    C = np.empty((k, k, m))  # P's columns but max P, then y
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # tails[0][u, a] and tails[1][u, a]: sums over c >= a of F_uc F_yc and of F_uc^2
+        tails = np.cumsum(np.stack([factor * factor[d], factor * factor])[:, :, ::-1],
+                          axis=2)[:, :, ::-1]
+        C[-1, -1] = tails[0, d, after]
+        for i in range(k - 1):
+            C[i, i] = tails[1, at[:, i], after]
+            C[i, -1] = C[-1, i] = tails[0, at[:, i], after]
+        if k > 2:  # the cross terms among P's columns, from their masked rows
+            keep = (np.arange(d + 1) >= after[:, None]).astype(float)
+            rows = [np.take(factor, at[:, i], axis=0) for i in range(k - 1)]
+            for i, j in zip(*np.triu_indices(k - 1, 1)):
+                C[i, j] = C[j, i] = np.einsum("mc,mc,mc->m", rows[i], rows[j], keep)
+        for i in range(k - 1):
+            C[i + 1:, i + 1:] -= C[i + 1:, i, None] * C[None, i, i + 1:] / C[i, i]
+    return C[-1, -1]
+
+
 def _best_prefix_pair(X, y, gram, corr, yy, s, floor) -> tuple:
-    """(support, redone) for s >= 2: the support P + (c, j) of least residual,
-    with P a prefix of size s - 2 from ``support_chunks`` and c < j after
-    max(P), scored in lexicographic order by the closed form of
+    """(support, redone, scored) for s >= 2: the support P + (c, j) of least
+    residual, with P a prefix of size s - 2 from ``support_chunks`` and c < j
+    after max(P), scored in lexicographic order by the closed form of
     ``l0_least_squares`` (t = S / D_c), at most ``_PAIR_BLOCK`` supports a
-    pass; ``argmin`` in a pass and a strict ``<`` across passes keep the
-    first of equal residuals.
+    pass; ``scored`` counts the supports scored.
+
+    Order.  For s >= 3 the columns are first sorted by their marginal score
+    |r_j| / sqrt(G_jj), stably, and the prefix tree is that of the sorted
+    columns.  Equal residuals still go to the support that is
+    lexicographically smallest in the original column order: a pass
+    compares every entry that ties its least residual, and a later pass
+    replaces the best only with a smaller residual, or an equal one on a
+    smaller original support.
+
+    Bound.  Residuals only fall as columns are added, so every support of a
+    prefix P's subtree has RSS >= LB(P) = RSS(P + every column after
+    max P) (leaps and bounds, Furnival & Wilson 1974).  ``_bound_factor``
+    factors M = [[G, r], [r^T, y^T y]] once, with the sorted columns in
+    reverse and y last, and ``_prefix_bounds`` reads every LB(P) from it as
+    a (s - 2) x (s - 2) Schur complement.  The completions of the first
+    prefix are scored first; their least residual is the incumbent, and
+    the other prefixes are scored only when LB(P) <= incumbent + margin.
+    Nothing in this depends on the pass size or the chunks.
+
+    Margin.  A bound and a score are both the Schur complement of y in a
+    principal block of M, found by Cholesky-type elimination, so each is
+    to first order exact for M + E with |E_ij| <= gamma sqrt(M_ii M_jj),
+    gamma = (d + 2) eps (the rows of a Cholesky factor have norms
+    sqrt(M_ii); Higham 2002, Thm 10.3).  With v = (-b, 1) the residual's
+    coefficients and D = diag(M), the error v^T E v is at most
+    (d + 1) gamma ||D^{1/2} v||^2 <= (d + 1) gamma y^T y / lambda, since
+    v^T M v = RSS <= y^T y; lambda, the least eigenvalue of the
+    unit-diagonal D^{-1/2} M D^{-1/2}, is at least 1 / ||H^{-1}||_F^2 for
+    its Cholesky factor H.  The prefix of the best support S has
+    LB <= RSS(S) <= incumbent, so margin = 2 (d + 1) gamma y^T y ||H^{-1}||_F^2
+    covers the error of its bound plus that of S's score and never prunes
+    it.  G's own rounding from X is shared by both, so it does not enter.
+    Where the first-order argument fails (lambda near gamma) the margin
+    exceeds y^T y, which bounds every LB, and nothing is pruned.
+
+    Fallback.  Every support is scored, in the original order and with no
+    bound, when s <= 2, when M's factorization fails, or when a pivot keeps
+    less than ``_BOUND_PIVOT`` = 1e-8 of its diagonal entry
+    (F_ii^2 < 1e-8 M_ii): zero, duplicated or nearly dependent columns,
+    n < d and a y that the columns fit (nearly) exactly all fail it.
 
     The pairs of a prefix that ends at b are the suffix of the lexicographic
     pair list (``np.triu_indices(d, 1)``) from (b + 1, b + 2) on, so a
@@ -382,6 +517,12 @@ def _best_prefix_pair(X, y, gram, corr, yy, s, floor) -> tuple:
     """
     d = gram.shape[0]
     k = s - 2
+    bound = _bound_factor(gram, corr, yy) if k else None
+    if bound is None:
+        order = np.arange(d)
+    else:
+        order, factor, margin = bound
+        gram, corr = gram[np.ix_(order, order)], corr[order]
     # the pairs that follow some prefix: those from (k, k + 1) on, the first
     # after the prefix (0, ..., k - 1); first[b] is where the pairs of a prefix
     # ending at b start among them
@@ -397,15 +538,15 @@ def _best_prefix_pair(X, y, gram, corr, yy, s, floor) -> tuple:
     schur, thr = np.empty((2, size))
     trusted = np.empty(size, dtype=bool)
     store = np.empty(0)
-    best_obj, best_support, n_lstsq = math.inf, None, 0
+    best_obj, best_support, n_lstsq, n_scored = math.inf, None, 0, 0
 
-    def support(i):  # of entry i of the current pass
-        return np.append(prefixes[row_at[i] // d], (flat_c[i] - row_at[i], flat_j[i] - row_at[i]))
+    def score(prefixes):  # every completion of the prefix rows, in order
+        nonlocal store, best_obj, best_support, n_lstsq, n_scored
 
-    # prefixes end before column d - 2, so each has a pair of completions
-    chunks = (support_chunks(d - 2, k, per_support=(3 + k) * d) if k
-              else [np.zeros((1, 0), dtype=np.intp)])
-    for prefixes in chunks:
+        def support(i):  # the sorted original columns of entry i of the current pass
+            at = np.append(prefixes[row_at[i] // d], (flat_c[i] - row_at[i], flat_j[i] - row_at[i]))
+            return np.sort(order[at])
+
         m = len(prefixes)
         if store.size < (3 + k) * m * d:
             store = np.empty((3 + k) * m * d)
@@ -416,6 +557,7 @@ def _best_prefix_pair(X, y, gram, corr, yy, s, floor) -> tuple:
         run_end = np.cumsum(n_pairs - starts)  # where each prefix's run ends in the stream
         run_start = run_end - (n_pairs - starts)
         total = int(run_end[-1])
+        n_scored += total
         for lo in range(0, total, size):
             hi = min(lo + size, total)
             L = hi - lo
@@ -457,10 +599,27 @@ def _best_prefix_pair(X, y, gram, corr, yy, s, floor) -> tuple:
             for i in redo:
                 resid[i] = _unit_lstsq(X[:, support(i)], y)[1]
             n_lstsq += len(redo)
-            i = int(np.argmin(np.maximum(resid, 0.0, out=resid)))
-            if resid[i] < best_obj:
-                best_obj, best_support = float(resid[i]), support(i)
-    return best_support, n_lstsq
+            low = float(np.min(np.maximum(resid, 0.0, out=resid)))
+            if low <= best_obj:
+                for i in np.flatnonzero(resid == low):
+                    tied = support(i)
+                    if low < best_obj or list(tied) < list(best_support):
+                        best_obj, best_support = low, tied
+
+    # prefixes end before column d - 2, so each has a pair of completions
+    chunks = (support_chunks(d - 2, k, per_support=(3 + k) * d) if k
+              else [np.zeros((1, 0), dtype=np.intp)])
+    cutoff = None
+    for prefixes in chunks:
+        if bound is not None:
+            if cutoff is None:  # the first prefix's best residual is the incumbent
+                score(prefixes[:1])
+                cutoff = best_obj + margin
+                prefixes = prefixes[1:]
+            prefixes = prefixes[~(_prefix_bounds(factor, prefixes) > cutoff)]
+        if len(prefixes):
+            score(prefixes)
+    return best_support, n_lstsq, n_scored
 
 
 def _unit_lstsq(X_S: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:

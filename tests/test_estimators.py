@@ -305,6 +305,115 @@ class TestL0:
         assert res.support == (0, 1, 2, 3)
         assert peak <= 2 << 20
 
+    def test_duplicated_column_ties_lexicographic(self):
+        # column 4 equals column 2, so (0, 1, 2) and (0, 1, 4) tie; the gemv
+        # behind X^T y rounded the two entries apart by 7.1e-15, and the
+        # scores without bit-equal entries picked (0, 1, 4)
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((29, 7))
+        X[:, 4] = X[:, 2]
+        y = X[:, :3] @ rng.standard_normal(3) + 0.3 * rng.standard_normal(29)
+        assert l0_least_squares(X, y, s=3).support == (0, 1, 2)
+
+    def test_bound_prunes_planted_support(self):
+        # the q = 0 grid's shape: the first prefix's completions hold the
+        # planted support, and the bound rules out almost every other prefix
+        rng = np.random.default_rng(42)
+        X = rng.standard_normal((400, 32))
+        y = X[:, [3, 11, 20, 29]] @ np.array([1.0, -1.0, 0.8, 1.2]) + rng.standard_normal(400)
+        res = l0_least_squares(X, y, s=4)
+        assert res.support == (3, 11, 20, 29)
+        assert res.info["n_supports"] == res.iterations == math.comb(32, 4)
+        assert res.info["scored_supports"] <= 0.02 * math.comb(32, 4)
+        assert res.info["lstsq_supports"] == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(4, 9), st.data())
+    def test_bound_matches_brute_force_property(self, d, data):
+        # full-rank designs: s planted columns, in random places, carry a
+        # strong signal in units of their norms; any column may be rescaled,
+        # and an unplanted one may be a near duplicate of another column (the
+        # 1e-7 ones fail the pivot test, the 1e-3 ones take the pruned scan).
+        # n >= 2d + 2 and the signal keep both copies out of the optimum: a
+        # support holding both is fitted to about 1e-9 by any method
+        s = data.draw(st.integers(3, d), label="s")
+        n = data.draw(st.integers(2 * d + 2, 6 * d), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        X = rng.standard_normal((n, d))
+        place = rng.permutation(d)
+        for j in place[s:]:
+            if data.draw(st.booleans(), label="near duplicate"):
+                k = data.draw(st.sampled_from([i for i in range(d) if i != j]))
+                X[:, j] = X[:, k] + data.draw(st.sampled_from([1e-7, 1e-3])) * rng.standard_normal(n)
+        X *= data.draw(st.lists(st.sampled_from([1.0, -2.0, 1e-3, 1e3]), min_size=d, max_size=d))
+        planted = place[:s]
+        signs = rng.choice([-1.0, 1.0], s)
+        coef = signs * rng.uniform(2.0, 4.0, s) / np.linalg.norm(X[:, planted], axis=0)
+        y = np.sqrt(n) * X[:, planted] @ coef + rng.standard_normal(n)
+        res = l0_least_squares(X, y, s)
+        beta, obj = brute_force_l0(X, y, s)
+        assert res.support == tuple(np.flatnonzero(beta))
+        assert abs(res.objective - obj) <= 1e-10 * max(obj, 1.0)
+        assert res.info["scored_supports"] <= res.info["n_supports"] == math.comb(d, s)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(6, 14), st.data())
+    def test_bound_matches_full_enumeration_property(self, d, data):
+        # correlated columns and a weak or absent signal, so the best support
+        # is often not among the first prefix's completions; full
+        # enumeration (no bound factor) must pick the same support
+        s = data.draw(st.integers(3, min(d - 1, 5)), label="s")
+        n = data.draw(st.integers(d + 2, 5 * d), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        mix = np.eye(d) + data.draw(st.sampled_from([0.0, 0.3, 1.0])) * rng.standard_normal((d, d))
+        X = rng.standard_normal((n, d)) @ mix
+        weight = data.draw(st.sampled_from([0.0, 0.1, 0.5]), label="signal")
+        y = weight * X[:, rng.choice(d, s, replace=False)].sum(axis=1) + rng.standard_normal(n)
+        res = l0_least_squares(X, y, s)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimators, "_bound_factor", lambda *args: None)
+            full = l0_least_squares(X, y, s)
+        assert full.info["scored_supports"] == full.info["n_supports"]
+        assert (res.support, res.objective) == (full.support, full.objective)
+        assert res.info["scored_supports"] <= res.info["n_supports"]
+
+    @pytest.mark.parametrize("block", [4096, 1])
+    @pytest.mark.parametrize("mix, coef, ties", [
+        (np.eye(8).tolist(), [2, 0, 2, 0, 3, 2, 1, 0], [(0, 2, 4), (0, 4, 5), (2, 4, 5)]),
+        ([[1, 0, -1, 0, 0, 0], [-1, 0, -1, -1, -1, 0], [0, 0, 0, 0, 0, -1],
+          [-1, 0, 1, 1, 0, -1], [1, -1, 0, 1, -1, 1], [1, 0, -1, 1, 0, 1],
+          [1, 0, 1, 1, 0, 0], [0, 1, 1, 1, 0, -1]],
+         [-2, 3, -1, 1, -1, 1, 1, -3], [(0, 1, 5), (0, 3, 5)]),
+        ([[1, 0, 0, 0, -1, 0], [0, 1, 0, 1, -1, 1], [-1, 0, 1, 0, -1, 0],
+          [1, 0, 0, 0, 1, 0], [1, 1, 1, -1, 1, 1], [1, 1, 0, -1, -1, 1],
+          [0, 1, 1, 0, -1, 0], [1, 1, 1, -1, 0, 0]],
+         [0, 3, 3, 2, -1, 0, 2, 0], [(1, 2, 3), (2, 3, 4), (2, 3, 5)]),
+    ], ids=["orthogonal", "same_prefix", "incumbent_prefix"])
+    def test_bound_ties_follow_original_order(self, monkeypatch, block, mix, coef, ties):
+        # integer combinations of Hadamard columns whose best supports tie
+        # exactly and score equal residuals; a column outside X adds noise
+        # orthogonal to X.  orthogonal: eight Hadamard columns, G = 16 I and
+        # X^T y = 16 coef, every residual exact, and column 4 scores highest,
+        # so the scan's order differs from the column order.  The other two
+        # (ties checked in rational arithmetic) put a larger original support
+        # first in the scan: column 3 precedes column 1 in the same prefix,
+        # and (2, 3, 4) completes the first prefix while (1, 2, 3) comes later
+        H = _hadamard16()
+        X = H[:, :8] @ np.array(mix, dtype=float)
+        y = H[:, :8] @ np.array(coef, dtype=float) + H[:, 9]
+        monkeypatch.setattr(estimators, "_PAIR_BLOCK", block)
+        res = l0_least_squares(X, y, s=3)
+        assert res.support == ties[0]
+        assert 0 < res.info["scored_supports"] < res.info["n_supports"]
+
+
+def _hadamard16() -> np.ndarray:
+    """The 16 x 16 Sylvester Hadamard matrix: +-1 entries, orthogonal columns."""
+    H = np.array([[1.0]])
+    while len(H) < 16:
+        H = np.block([[H, H], [H, -H]])
+    return H
+
 
 _SOLVERS = {
     "l0": lambda X, y: l0_least_squares(X, y, s=2),
