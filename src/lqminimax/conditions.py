@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .errors import (ConsistencyError, DimensionError, ParameterError, require_finite,
                      require_scalars)
@@ -281,6 +280,7 @@ def re_constant(
 def _kernel_directions(X: np.ndarray, count: int, seed: int) -> np.ndarray:
     """Rows: an orthonormal basis of the kernel of X, then ``count`` random
     combinations of it (no rows when the kernel is trivial)."""
+    from scipy.linalg import null_space  # deferred: a slow import few callers need
     basis = null_space(X, rcond=1e-10)
     if basis.shape[1] == 0:
         return np.zeros((0, X.shape[1]))

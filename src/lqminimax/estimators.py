@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dstebz, dstein, dtrtri
 
 from .ballgeom import ball_contains, project_l1, project_lq_heuristic
 from .errors import ParameterError, require_finite, require_rows, require_scalars
@@ -120,8 +119,11 @@ def _lipschitz(apply: Callable, m: int, round_off: float) -> tuple:
     The basis lives in one array of 64 rows, doubled when full (never more
     than m), and the top Ritz pair comes from the LAPACK bisection and
     inverse iteration (dstebz, dstein) that ``eigh_tridiagonal`` runs for one
-    eigenvalue by index, called without its per-call checks.
+    eigenvalue by index, called without its per-call checks.  scipy's LAPACK
+    module is imported here, once per call, so that importing the package and
+    exact l0, which never needs a Lipschitz bound, load no scipy module.
     """
+    from scipy.linalg import lapack  # deferred: a slow import that exact l0 never needs
     start = np.random.default_rng(0).standard_normal(m)
     basis = np.empty((min(m, 64), m))
     basis[0] = start / np.linalg.norm(start)
@@ -134,7 +136,7 @@ def _lipschitz(apply: Callable, m: int, round_off: float) -> tuple:
         w -= V.T @ (V @ w)
         w -= V.T @ (V @ w)  # a second pass restores orthogonality lost to round-off
         beta = float(np.linalg.norm(w))
-        theta, u_last = _top_ritz_pair(alphas[:step], betas[:step - 1])
+        theta, u_last = _top_ritz_pair(alphas[:step], betas[:step - 1], lapack)
         slack = beta * abs(u_last) + round_off * theta
         settled = theta - tops[-2] <= slack or beta <= round_off * theta
         if (slack <= 1e-6 * theta and settled) or step == m:
@@ -147,19 +149,22 @@ def _lipschitz(apply: Callable, m: int, round_off: float) -> tuple:
     return theta + slack, step
 
 
-def _top_ritz_pair(alphas: np.ndarray, betas: np.ndarray) -> tuple:
+def _top_ritz_pair(alphas: np.ndarray, betas: np.ndarray, lapack) -> tuple:
     """(theta, u_last): the top eigenvalue of the symmetric tridiagonal matrix
     with diagonal ``alphas`` and off-diagonal ``betas``, and the last entry of
-    its unit eigenvector, as ``eigh_tridiagonal(select="i")`` computes them.
-    Earlier calls saw all but the last entries, so only those are checked."""
+    its unit eigenvector, as ``eigh_tridiagonal(select="i")`` computes them
+    with ``lapack``'s dstebz and dstein; ``_lipschitz`` imports
+    ``scipy.linalg.lapack`` and passes it in, so the import runs once per
+    bound, not once per step.  Earlier calls saw all but the last entries, so
+    only those are checked."""
     k = len(alphas)
     if not math.isfinite(alphas[-1] + (betas[-1] if k > 1 else 0.0)):
         raise ParameterError("Lanczos coefficients are not finite: X has overflowing entries")
     if k == 1:
         return float(alphas[0]), 1.0
-    _, w, iblock, isplit, info = dstebz(alphas, betas, 2, 0.0, 1.0, k, k, 0.0, "B")
+    _, w, iblock, isplit, info = lapack.dstebz(alphas, betas, 2, 0.0, 1.0, k, k, 0.0, "B")
     if info == 0:
-        u, info = dstein(alphas, betas, w[:1], iblock, isplit)
+        u, info = lapack.dstein(alphas, betas, w[:1], iblock, isplit)
     if info != 0:
         raise np.linalg.LinAlgError(f"tridiagonal eigensolver failed (info={info})")
     return float(w[0]), float(u[-1, 0])
@@ -413,14 +418,17 @@ def _bound_factor(gram, corr, yy):
     rev = order[::-1]
     M = np.empty((d + 1, d + 1))
     M[:d, :d] = gram[np.ix_(rev, rev)]
-    M[d, :d] = corr[rev]  # dpotrf reads the lower triangle only
+    M[d, :d] = corr[rev]  # np.linalg.cholesky reads the lower triangle only
     M[d, d] = yy
     scale = np.diagonal(M).copy()
-    factor, info = dpotrf(M, lower=1)
+    try:
+        factor = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return None
     with np.errstate(invalid="ignore", over="ignore"):  # an infinite margin prunes nothing
-        if info != 0 or not np.all(np.diagonal(factor) ** 2 >= _BOUND_PIVOT * scale):
+        if not np.all(np.diagonal(factor) ** 2 >= _BOUND_PIVOT * scale):
             return None
-        inverse = dtrtri(factor, lower=1)[0] * np.sqrt(scale)  # H^{-1}, H = D^{-1/2} factor
+        inverse = np.linalg.inv(factor) * np.sqrt(scale)  # H^{-1}, H = D^{-1/2} factor
         gamma = (d + 2) * np.finfo(float).eps
         margin = 2.0 * (d + 1) * gamma * yy * float(np.einsum("ij,ij->", inverse, inverse))
     return order, factor, margin

@@ -16,7 +16,6 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from typing import Optional, Sequence
 
@@ -264,6 +263,7 @@ def run_risk_experiment(config: ExperimentConfig, n_workers: int = 1) -> Experim
             continue
         jobs.extend((config, n, d, trial) for trial in range(config.trials_per_cell))
     if n_workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # deferred: loads multiprocessing
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             records = list(pool.map(_run_trial_star, jobs, chunksize=8))
     else:

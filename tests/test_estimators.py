@@ -406,6 +406,46 @@ class TestL0:
         assert res.support == ties[0]
         assert 0 < res.info["scored_supports"] < res.info["n_supports"]
 
+    @pytest.mark.parametrize("d", [8, 33, 129])
+    def test_bound_factor_is_cholesky_of_reordered_gram(self, d):
+        # the factor reproduces M = [[G, r], [r^T, y^T y]] with the sorted
+        # columns reversed, and the margin is the one LAPACK's triangular
+        # inverse gives
+        from scipy.linalg.lapack import dtrtri
+        rng = np.random.default_rng(d)
+        n = 2 * d + 3
+        X = rng.standard_normal((n, d)) * rng.uniform(0.5, 2.0, d)
+        y = X[:, :3].sum(axis=1) + rng.standard_normal(n)
+        gram, corr, yy = X.T @ X, X.T @ y, float(y @ y)
+        order, factor, margin = estimators._bound_factor(gram, corr, yy)
+        assert np.array_equal(order, np.argsort(-np.abs(corr) / np.sqrt(np.diagonal(gram)),
+                                                kind="stable"))
+        rev = order[::-1]
+        M = np.empty((d + 1, d + 1))
+        M[:d, :d], M[:d, d], M[d, :d], M[d, d] = gram[np.ix_(rev, rev)], corr[rev], corr[rev], yy
+        assert np.abs(factor @ factor.T - M).max() <= 1e-12 * np.abs(M).max()
+        assert np.all(np.triu(factor, 1) == 0.0)
+        inverse = dtrtri(factor, lower=1)[0] * np.sqrt(np.diagonal(M))
+        expected = 2.0 * (d + 1) * (d + 2) * np.finfo(float).eps * yy * float(np.sum(inverse ** 2))
+        assert margin == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("defect", ["zero", "duplicate", "nan"])
+    def test_bound_factor_refuses_degenerate_gram(self, defect):
+        # a zero or an exactly duplicated column fails the factorization (or,
+        # rounded, the pivot test), and a NaN entry reaches the pivot test as a
+        # NaN pivot; each sends the solve to full enumeration
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((40, 12))
+        y = X[:, :3].sum(axis=1) + rng.standard_normal(40)
+        if defect == "zero":
+            X[:, 5] = 0.0
+        elif defect == "duplicate":
+            X[:, 7] = X[:, 2]
+        gram, corr, yy = X.T @ X, X.T @ y, float(y @ y)
+        if defect == "nan":
+            gram[4, 9] = gram[9, 4] = np.nan
+        assert estimators._bound_factor(gram, corr, yy) is None
+
 
 def _hadamard16() -> np.ndarray:
     """The 16 x 16 Sylvester Hadamard matrix: +-1 entries, orthogonal columns."""
@@ -912,37 +952,27 @@ def test_accelerated_gap_certified_from_x_and_fewer_iterations(n, d):
         assert res.iterations < plain
 
 
-def _reference_lasso(X, y, lam, max_iter=10_000, tol=1e-10):
-    """The pathwise cyclic coordinate descent the lasso once ran, kept as an
-    independent reference: a geometric ladder of 50 penalties from lam_max
-    down to lam, each stage warm-started and swept until no coordinate moves
-    by more than tol; all-zero columns are skipped."""
+def _reference_lasso(X, y, lam):
+    """An independent reference: scipy's L-BFGS-B on the split b = u - v with
+    u, v >= 0, whose objective ||y - X b||^2 / (2n) + lam sum(u + v) is smooth
+    and has the lasso's minimiser.  At the optimum one of u_j, v_j has a
+    positive gradient (2 lam on the support, lam +- g_j off it), so the bound
+    holds it at exactly 0 and the support comes out exact.  With
+    ftol = gtol = 0 it stops only when a step no longer lowers the objective."""
+    from scipy.optimize import minimize
+
     n, d = X.shape
-    cols = list(np.asfortranarray(X).T)  # contiguous columns
-    col_sq = [float(c @ c) / n for c in cols]
-    beta = [0.0] * d
-    resid = y.copy()
-    lam_max = float(np.abs(X.T @ y).max()) / n
-    ladder = [lam]
-    if lam < lam_max:
-        ladder = list(np.geomspace(lam_max, max(lam, lam_max * 1e-10), 50))
-        ladder += [lam] if ladder[-1] != lam else []
-    for stage in ladder:
-        for _ in range(max_iter):
-            max_change = 0.0
-            for j in range(d):
-                if col_sq[j] == 0.0:
-                    continue
-                old = beta[j]
-                rho = float(cols[j] @ resid) / n + col_sq[j] * old
-                new = math.copysign(max(abs(rho) - stage, 0.0), rho) / col_sq[j]
-                if new != old:
-                    resid += cols[j] * (old - new)
-                    beta[j] = new
-                    max_change = max(max_change, abs(new - old))
-            if max_change <= tol:
-                break
-    return np.array(beta)
+
+    def objective(w):
+        r = X @ (w[:d] - w[d:]) - y
+        g = X.T @ r / n
+        return float(r @ r) / (2 * n) + lam * float(w.sum()), np.concatenate([g + lam, lam - g])
+
+    res = minimize(objective, np.zeros(2 * d), jac=True, method="L-BFGS-B",
+                   bounds=[(0.0, None)] * (2 * d),
+                   options={"maxiter": 100_000, "maxfun": 100_000, "ftol": 0.0, "gtol": 0.0,
+                            "maxcor": 30})
+    return res.x[:d] - res.x[d:]
 
 
 @pytest.mark.parametrize("n, d", [(100, 50), (200, 100), (400, 200), (800, 400), (50, 100)])

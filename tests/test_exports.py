@@ -1,7 +1,8 @@
 """Every name a module lists in ``__all__`` resolves, so a deletion leaves no stale export;
-importing the package loads no scipy module it does not need."""
+importing the package, and exact l0, load no scipy module."""
 
 import importlib
+import json
 import os
 import pathlib
 import pkgutil
@@ -28,12 +29,42 @@ def test_all_names_resolve(name):
     assert len(set(exported)) == len(exported)
 
 
-def test_import_defers_heavy_scipy_modules():
-    # each is imported inside the one function that uses it
-    code = ("import sys, lqminimax; print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-            "(['scipy', 'optimize'], ['scipy', 'spatial'], ['scipy', 'special'])))")
+def _loaded_after(code: str) -> dict:
+    """Run ``code`` in a fresh interpreter that sees this checkout's package;
+    for each line it prints with ``mark(label)``, the scipy and
+    multiprocessing modules loaded by then."""
+    prelude = ("import json, sys\n"
+               "def mark(label):\n"
+               "    print(label, json.dumps(sorted(\n"
+               "        m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing'))))\n")
     src = str(pathlib.Path(lqminimax.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", prelude + code], env=env, capture_output=True,
+                         text=True, check=True)
+    lines = (line.split(" ", 1) for line in out.stdout.splitlines())
+    return {label: json.loads(mods) for label, mods in lines}
+
+
+def test_import_defers_heavy_scipy_modules():
+    # each scipy submodule is imported inside the function that uses it, and the
+    # process pool inside the n_workers > 1 branch
+    assert _loaded_after("import lqminimax\nmark('import')") == {"import": []}
+
+
+def test_exact_l0_grid_and_fit_load_no_scipy():
+    # n = 20 < d = 32 takes the unpruned fallback and n = 40, 80 the bound factor;
+    # the l1 solver's Lanczos bound is where scipy.linalg first loads
+    loaded = _loaded_after(
+        "import numpy as np\n"
+        "from lqminimax import BallSpec, ExperimentConfig, fit_rate_slope, l1_constrained_ls, "
+        "run_risk_experiment\n"
+        "cfg = ExperimentConfig(ball=BallSpec(0.0, 4), sigma=1.0, n_grid=(20, 40, 80),\n"
+        "                       estimator={'kind': 'l0', 's': 4}, d_rule=('fixed', 32),\n"
+        "                       trials_per_cell=2, seed_root=1)\n"
+        "fit_rate_slope(run_risk_experiment(cfg).records, 'l2', q=0.0)\n"
+        "mark('l0')\n"
+        "X = np.random.default_rng(0).standard_normal((20, 10))\n"
+        "l1_constrained_ls(X, X[:, 0], 1.0)\n"
+        "mark('l1')\n")
+    assert loaded["l0"] == []
+    assert "scipy.linalg" in loaded["l1"]
