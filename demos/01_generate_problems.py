@@ -39,14 +39,14 @@ beta_soft = generate_sparse_beta(soft, d=64, magnitude=1.0, seed=3)
 print("soft-sparse support size:", np.count_nonzero(beta_soft),
       " q-mass:", np.sum(np.abs(beta_soft) ** 0.5))
 
-# the normal sequence model y_i / sqrt(n) = b_i + (tau / sqrt(n)) z_i is the
-# d = n design sqrt(n) I with noise level sigma = tau
-seq_ball = BallSpec(0.0, 3)
-seq_X = generate_design(DesignSpec("identity_sequence", n=16, d=16, seed=4))
-seq = simulate(seq_X, generate_sparse_beta(seq_ball, d=16, seed=4), sigma=2.0, seed=4,
-               ball=seq_ball)
-print("sequence model: X = sqrt(n) I:", np.array_equal(seq.X, 4.0 * np.eye(16)),
-      " per-coordinate noise tau^2 / n =", seq.sigma**2 / seq.n)
+# the normal sequence model y_i / sqrt(n) = b_i + (tau / sqrt(n)) z_i needs no
+# design matrix; least squares over the l0-ball keeps its s largest entries
+n, tau, seq_ball = 16, 2.0, BallSpec(0.0, 3)
+b = generate_sparse_beta(seq_ball, d=n, seed=4)
+y_seq = b + tau / np.sqrt(n) * np.random.default_rng(4).standard_normal(n)
+kept = np.sort(np.argsort(-np.abs(y_seq))[:seq_ball.s])
+print("sequence model: support", np.flatnonzero(b), " kept", kept,
+      " per-coordinate noise tau^2 / n =", tau**2 / n)
 
 # instances serialize to a flat JSON document
-print("JSON snippet:", instance_to_json(seq)[:80], "...")
+print("JSON snippet:", instance_to_json(inst)[:80], "...")

@@ -32,8 +32,8 @@ def _emit(doc: dict) -> None:
 def _cmd_simulate(args) -> int:
     """One trial's instance, drawn as the harness draws it from the trial seed --seed."""
     ball = linmodel.BallSpec(q=args.q, radius=args.radius)
-    spec = linmodel.InstanceSpec(ball=ball, sigma=args.sigma, design_kind=args.design,
-                                 beta_pattern=args.pattern, beta_magnitude=args.magnitude)
+    spec = linmodel.InstanceSpec(ball=ball, sigma=args.sigma, beta_pattern=args.pattern,
+                                 beta_magnitude=args.magnitude)
     inst = spec.draw(args.n, args.d, args.seed)
     doc = {"n": inst.n, "d": inst.d, "sigma": inst.sigma, "seed": inst.seed,
            "beta_support": np.flatnonzero(inst.beta_star).tolist()}
@@ -221,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="one instance end-to-end")
-    p.add_argument("--design", default=linmodel.InstanceSpec.design_kind,
-                   choices=["standard_gaussian", "identity_sequence"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--q", type=float, default=0.0)

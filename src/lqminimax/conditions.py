@@ -392,8 +392,6 @@ def verify_prop1(
     Draws fresh designs and random directions (dense Gaussian, sparse, and
     coordinate vectors) and counts violations of either bound.
     """
-    if spec.kind == "identity_sequence":
-        raise ParameterError("verify_prop1 needs a Gaussian row ensemble")
     require_scalars("count", n_draws=n_draws, n_directions=n_directions)
     require_scalars("index", seed=seed)
     n, d = spec.n, spec.d

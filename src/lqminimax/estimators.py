@@ -205,40 +205,6 @@ def _least_squares_gradient(X: np.ndarray, y: np.ndarray, c: Optional[np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def _scalar_identity_factor(X: np.ndarray) -> Optional[float]:
-    """c such that X == c * I with c finite and nonzero, or None."""
-    n, d = X.shape
-    if n != d:
-        return None
-    diag = np.diagonal(X)
-    c = diag[0]
-    if c == 0.0 or not math.isfinite(c) or not np.all(diag == c):
-        return None
-    if np.count_nonzero(X) != n:
-        return None
-    return float(c)
-
-
-def _l0_identity(X: np.ndarray, y: np.ndarray, s: int, c: float) -> EstimateResult:
-    # for X = c*I the global optimum keeps the s largest |y_i|; lexsort's
-    # secondary index key gives the lexicographically smallest tied support
-    d = len(y)
-    order = np.lexsort((np.arange(d), -np.abs(y)))
-    support = np.sort(order[:s])
-    beta = np.zeros(d)
-    beta[support] = y[support] / c
-    resid = y.copy()
-    resid[support] = 0.0
-    return EstimateResult(
-        beta_hat=beta,
-        objective=float(resid @ resid),
-        iterations=1,
-        converged=True,
-        feasible=True,
-        info={"method": "l0_identity"},
-    )
-
-
 def l0_least_squares(X: np.ndarray, y: np.ndarray, s: int) -> EstimateResult:
     """Exact least squares over the l0-ball: min ||y - X b||_2^2 s.t. ||b||_0 <= s.
 
@@ -276,11 +242,9 @@ def l0_least_squares(X: np.ndarray, y: np.ndarray, s: int) -> EstimateResult:
     1e-3x) tie only mathematically, and round-off orders those supports.
     The winner is refitted by lstsq with a 1e-12 relative cutoff, and by
     ``_unit_lstsq`` if that cutoff drops a direction: the scores, like
-    ``_unit_lstsq``, do not depend on column scale.  Scalar multiples of
-    the identity take an exact top-s shortcut instead, which makes
-    sequence-model sizes feasible.  Non-finite entries in X or y raise
-    ParameterError; an X that is not 2-D or a y not of shape (n,) raises
-    DimensionError.
+    ``_unit_lstsq``, do not depend on column scale.  Non-finite entries in
+    X or y raise ParameterError; an X that is not 2-D or a y not of shape
+    (n,) raises DimensionError.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -289,10 +253,6 @@ def l0_least_squares(X: np.ndarray, y: np.ndarray, s: int) -> EstimateResult:
     require_scalars(_PARAMETER_RULES["s"], s=s)
     _check_s_fits(s, d)
     require_finite(y=y)
-
-    c = _scalar_identity_factor(X)
-    if c is not None:
-        return _l0_identity(X, y, s, c)
 
     n_supports = math.comb(d, s)
     check_budget(n_supports)

@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .ballgeom import project_l1
 from .conditions import in_cone
 from .errors import (ConsistencyError, CovarianceError, DimensionError, ParameterError, as_scalar,
                      as_tuple, require_scalars, store_scalars)
@@ -34,7 +35,8 @@ from .estimators import (
     lasso,
     lq_constrained_ls,
 )
-from .linmodel import BallSpec, InstanceSpec, LossSpec, ProblemInstance, derive_seed, loss
+from .linmodel import (BallSpec, InstanceSpec, LossSpec, ProblemInstance, derive_seed,
+                       generate_sparse_beta, loss, split_streams)
 
 __all__ = [
     "ExperimentConfig",
@@ -104,9 +106,6 @@ class ExperimentConfig(InstanceSpec):
         if not all(isinstance(spec, LossSpec) for spec in losses):
             raise ParameterError(f"'losses' must hold LossSpecs, got {self.losses!r}")
         object.__setattr__(self, "losses", losses)
-        if self.design_kind == "identity_sequence" and self.d_rule != ("proportional", 1.0):
-            raise ParameterError(
-                f"identity_sequence needs d_rule ('proportional', 1.0), got {self.d_rule!r}")
         for n in grid:
             d = self.dim_at(n)
             if n < 1 or d < 1:
@@ -250,10 +249,12 @@ def run_risk_experiment(config: ExperimentConfig, n_workers: int = 1) -> Experim
     """Execute every (cell, trial) job and return records in canonical order.
 
     Cells failing the scaling condition are excluded and reported in
-    ``excluded_cells`` when ``enforce_scaling`` is set.  Identical
-    (config, seed_root) always reproduce bit-identical records regardless of
-    worker count.
+    ``excluded_cells`` when ``enforce_scaling`` is set.  At a fixed BLAS
+    thread count, identical (config, seed_root) reproduce bit-identical
+    records whatever the worker count; the thread count itself can change
+    the last digits.  ``n_workers`` is a count (ParameterError otherwise).
     """
+    require_scalars("count", n_workers=n_workers)
     jobs = []
     excluded = []
     for n in config.n_grid:
@@ -338,13 +339,17 @@ def fit_rate_slope(
     Cell risk is the 2%-trimmed mean over trials (raw means kept alongside);
     zero-mean cells are excluded and counted.  The theoretical slope is -1
     (q = 0) or -(1 - q/2) against n, 1 - q/2 against the sequence model's
-    2 log n / n, and +1 against the composite predictors.
+    2 log n / n, and +1 against the composite predictors.  A ``loss_kind``
+    that a record does not carry raises ParameterError.
     """
     if predictor not in PREDICTORS:
         raise ParameterError(f"unknown predictor {predictor!r}; known: {list(PREDICTORS)}")
     x_of, theoretical_of = PREDICTORS[predictor]
     by_cell: dict = {}
     for rec in records:
+        if loss_kind not in rec.losses:
+            raise ParameterError(f"the records carry no loss {loss_kind!r}; they carry "
+                                 f"{sorted(rec.losses)}")
         by_cell.setdefault((rec.n, rec.d), []).append(rec.losses[loss_kind])
     xs, ys, cells = [], [], []
     excluded = 0
@@ -457,27 +462,59 @@ def corollary1_experiment(
 ) -> RateFitResult:
     """Sequence-model risk slope against (2 log n) / n.
 
-    Spikes are placed at the detection threshold tau sqrt(2 log n / n): with
-    constant large spikes the risk decays parametrically at 1/n and the
-    log-factor the theory predicts would be invisible.  Only the certified
-    q = 0 and q = 1 estimators are allowed.  Runs as an ``identity_sequence``
-    config (X = sqrt(n) I, ``sigma=tau``) through ``run_risk_experiment`` and
-    ``fit_rate_slope``.
+    Each trial observes y = sqrt(n) b + tau z, the design sqrt(n) I in
+    sequence form: y / sqrt(n) = b + (tau / sqrt(n)) z.  Spikes are placed at
+    the detection threshold tau sqrt(2 log n / n): with constant large spikes
+    the risk decays parametrically at 1/n and the log-factor the theory
+    predicts would be invisible.  Least squares over the ball is then the
+    projection of y / sqrt(n) onto it (``_sequence_estimate``), so only the
+    exact q = 0 and q = 1 estimators are allowed.  Trial seeds, truths and
+    noise are those of a sweep with d = n (``run_risk_experiment``).  Each
+    record holds the l2 loss, the measured wall time and, as objective_ok,
+    the basic inequality ||y - sqrt(n) bhat||^2 <= ||w||^2 + 1e-8; the
+    records go to ``fit_rate_slope``.
     """
     if ball.q not in (0.0, 1.0):
-        raise ParameterError("only the certified q = 0 and q = 1 estimators run here")
-    if len(n_grid) < 3:
-        raise ParameterError(f"need at least 3 grid points, got {len(n_grid)}")
-    require_scalars("positive", tau=tau)  # the config's sigma, checked under its own name
-    estimator = ({"kind": "l0", "s": ball.s} if ball.q == 0.0
-                 else {"kind": "l1", "radius": ball.radius})
-    config = ExperimentConfig(ball=ball, sigma=tau, n_grid=tuple(n_grid),
-                              estimator=estimator, d_rule=("proportional", 1.0),
-                              design_kind="identity_sequence",
-                              trials_per_cell=trials_per_cell, losses=(LossSpec.l2(),),
-                              seed_root=seed_root, beta_magnitude_rule="threshold_logd")
-    run = run_risk_experiment(config)
-    return fit_rate_slope(run.records, "l2", predictor="two_logn_over_n", q=ball.q)
+        raise ParameterError("only the exact q = 0 and q = 1 estimators run here")
+    grid = as_tuple("n_grid", n_grid, "count")
+    if len(grid) < 3:
+        raise ParameterError(f"need at least 3 grid points, got {len(grid)}")
+    if any(b >= a for a, b in zip(grid[1:], grid)):
+        raise ParameterError(f"n_grid must be strictly increasing, got {grid}")
+    tau = as_scalar("positive", "tau", tau)
+    require_scalars("count", trials_per_cell=trials_per_cell)
+    require_scalars("index", seed_root=seed_root)
+    ball.validate_for_dim(grid[0])  # the grid increases, so its first n binds s <= n
+    records = []
+    for n in grid:
+        root_n = math.sqrt(n)
+        for trial in range(trials_per_cell):
+            seed = derive_seed(seed_root, n, n, trial)
+            start = time.perf_counter()
+            beta = generate_sparse_beta(ball, n, magnitude=tau * math.sqrt(2.0 * math.log(n) / n),
+                                        seed=derive_seed(seed, 2))
+            w = tau * split_streams(seed)[1].standard_normal(n)
+            y = root_n * beta + w
+            beta_hat = _sequence_estimate(y, ball)
+            r = y - root_n * beta_hat
+            losses = {"l2": loss(LossSpec.l2(), None, beta_hat, beta)}
+            records.append(TrialRecord(n=n, d=n, trial=trial, seed=seed, losses=losses,
+                                       objective_ok=float(r @ r) <= float(w @ w) + 1e-8,
+                                       wall_ms=(time.perf_counter() - start) * 1e3))
+    return fit_rate_slope(records, "l2", predictor="two_logn_over_n", q=ball.q)
+
+
+def _sequence_estimate(y: np.ndarray, ball: BallSpec) -> np.ndarray:
+    """argmin ||y - sqrt(n) b||^2 over the q = 0 or q = 1 ball: the projection of
+    y / sqrt(n) onto it.  For q = 0 that keeps the s largest |y_i|, ties going to
+    the smaller index, as ``l0_least_squares`` breaks them."""
+    root_n = math.sqrt(len(y))
+    if ball.q == 1.0:
+        return project_l1(y / root_n, ball.radius)
+    support = np.lexsort((np.arange(len(y)), -np.abs(y)))[:ball.s]
+    beta = np.zeros(len(y))
+    beta[support] = y[support] / root_n
+    return beta
 
 
 # ---------------------------------------------------------------------------

@@ -81,11 +81,9 @@ class BallSpec:
 class DesignSpec:
     """Recipe for a design matrix.
 
-    kind is one of ``standard_gaussian``, ``correlated_gaussian`` (rows i.i.d.
-    N(0, Sigma)), or ``identity_sequence`` (sqrt(n) I, requires n == d): with
-    noise level tau, y / sqrt(n) = b + (tau / sqrt(n)) z is the normal
-    sequence model.  A correlated spec checks and factors Sigma once, at
-    construction, and holds the root Sigma^{1/2} (None for the other kinds).
+    kind is ``standard_gaussian`` or ``correlated_gaussian`` (rows i.i.d.
+    N(0, Sigma)).  A correlated spec checks and factors Sigma once, at
+    construction, and holds the root Sigma^{1/2} (None for a standard one).
     n, d and seed are stored as Python ints under the ``index`` rule, and n or
     d below 1 raises DimensionError.
     """
@@ -97,7 +95,7 @@ class DesignSpec:
     sigma_cov: Optional[np.ndarray] = None
     root: Optional[np.ndarray] = field(default=None, init=False, compare=False, repr=False)
 
-    _KINDS = ("standard_gaussian", "correlated_gaussian", "identity_sequence")
+    _KINDS = ("standard_gaussian", "correlated_gaussian")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
@@ -105,10 +103,6 @@ class DesignSpec:
         store_scalars(self, n="index", d="index", seed="index")
         if self.n < 1 or self.d < 1:
             raise DimensionError(f"need n, d >= 1, got n={self.n}, d={self.d}")
-        if self.kind == "identity_sequence" and self.n != self.d:
-            raise DimensionError(
-                f"identity_sequence requires n == d, got n={self.n}, d={self.d}"
-            )
         if self.kind == "correlated_gaussian":
             if self.sigma_cov is None:
                 raise ParameterError("correlated_gaussian requires a covariance")
@@ -120,9 +114,9 @@ class DesignSpec:
 
 @dataclass(frozen=True, kw_only=True)
 class InstanceSpec:
-    """Recipe for one trial's instance; ``sigma`` is the noise level of y = X b + w
-    (tau for ``identity_sequence``).  A correlated spec checks and factors Sigma
-    once, at construction, and every draw reuses the root (None for the other kinds).
+    """Recipe for one trial's instance; ``sigma`` is the noise level of y = X b + w.
+    A correlated spec checks and factors Sigma once, at construction, and every
+    draw reuses the root (None for a standard one).
     """
 
     ball: BallSpec
@@ -288,13 +282,8 @@ def generate_design(spec: DesignSpec) -> np.ndarray:
 
     standard_gaussian gives i.i.d. N(0, 1) entries; correlated_gaussian gives
     rows i.i.d. N(0, Sigma), realized as W @ spec.root with W standard
-    normal; identity_sequence gives sqrt(n) I, whose columns have norm
-    sqrt(n) like a Gaussian design's, so kappa_c = kappa_l = kappa_u = 1.
-    Deterministic given the spec's seed.
+    normal.  Deterministic given the spec's seed.
     """
-    if spec.kind == "identity_sequence":
-        # one n^2 pass; eye followed by a scale would make two
-        return np.diag(np.full(spec.n, math.sqrt(spec.n)))
     return _gaussian_rows(spec.n, spec.d, spec.seed, spec.root)
 
 

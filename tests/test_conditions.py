@@ -227,9 +227,9 @@ class TestProp1:
         assert rep.lower_violations == 0 and rep.upper_violations == 0
 
     def test_non_gaussian_rejected(self):
-        spec = DesignSpec("identity_sequence", 5, 5)
-        with pytest.raises(ParameterError):
-            verify_prop1(spec)
+        # every design kind is a Gaussian row ensemble; another is refused with the spec
+        with pytest.raises(ParameterError, match="unknown design kind"):
+            verify_prop1(DesignSpec("identity_sequence", 5, 5))
 
     def test_report_pinned(self):
         # pinned bit for bit: reading spec.root, or eye(d) for a standard spec,

@@ -95,23 +95,11 @@ class TestL0:
         # minimum-norm solution splits the coefficient evenly
         assert np.allclose(res.beta_hat, [1.0, 1.0], atol=1e-8)
 
-    def test_identity_fastpath_ties_lexicographic(self):
-        res = l0_least_squares(np.eye(3), np.array([1.0, 1.0, 1.0]), s=1)
-        assert res.support == (0,)
-        assert res.info["method"] == "l0_identity"
-
     def test_support_follows_beta_hat(self):
         res = l0_least_squares(np.eye(3), np.array([1.0, 2.0, 3.0]), s=2)
         assert res.support == (1, 2) and res.to_json_dict()["support"] == [1, 2]
         with pytest.raises(AttributeError):
             res.support = (0,)
-
-    def test_identity_fastpath_matches_enumeration(self):
-        rng = np.random.default_rng(17)
-        y = rng.standard_normal(9)
-        fast = l0_least_squares(np.eye(9), y, 3)
-        slow = l0_least_squares(np.eye(9) + np.full((9, 9), 1e-300), y, 3)
-        assert fast.objective == pytest.approx(slow.objective, rel=1e-12)
 
     def test_ties_across_chunks_lexicographic(self, monkeypatch):
         # column 5 duplicates column 2, so supports (0, 2) and (0, 5) fit y

@@ -1,5 +1,5 @@
 """Every name a module lists in ``__all__`` resolves, so a deletion leaves no stale export;
-importing the package, and exact l0, load no scipy module."""
+importing the package, exact l0 and the sequence model load no scipy module."""
 
 import importlib
 import json
@@ -53,18 +53,23 @@ def test_import_defers_heavy_scipy_modules():
 
 def test_exact_l0_grid_and_fit_load_no_scipy():
     # n = 20 < d = 32 takes the unpruned fallback and n = 40, 80 the bound factor;
-    # the l1 solver's Lanczos bound is where scipy.linalg first loads
+    # the sequence model at q = 0 and q = 1 is a projection; the l1 solver's
+    # Lanczos bound is where scipy.linalg first loads
     loaded = _loaded_after(
         "import numpy as np\n"
-        "from lqminimax import BallSpec, ExperimentConfig, fit_rate_slope, l1_constrained_ls, "
-        "run_risk_experiment\n"
+        "from lqminimax import BallSpec, ExperimentConfig, corollary1_experiment, "
+        "fit_rate_slope, l1_constrained_ls, run_risk_experiment\n"
         "cfg = ExperimentConfig(ball=BallSpec(0.0, 4), sigma=1.0, n_grid=(20, 40, 80),\n"
         "                       estimator={'kind': 'l0', 's': 4}, d_rule=('fixed', 32),\n"
         "                       trials_per_cell=2, seed_root=1)\n"
         "fit_rate_slope(run_risk_experiment(cfg).records, 'l2', q=0.0)\n"
         "mark('l0')\n"
+        "corollary1_experiment((16, 32, 64), 1.0, BallSpec(0.0, 2), trials_per_cell=2)\n"
+        "mark('seq_q0')\n"
+        "corollary1_experiment((16, 32, 64), 1.0, BallSpec(1.0, 2.0), trials_per_cell=2)\n"
+        "mark('seq_q1')\n"
         "X = np.random.default_rng(0).standard_normal((20, 10))\n"
         "l1_constrained_ls(X, X[:, 0], 1.0)\n"
         "mark('l1')\n")
-    assert loaded["l0"] == []
+    assert loaded["l0"] == loaded["seq_q0"] == loaded["seq_q1"] == []
     assert "scipy.linalg" in loaded["l1"]

@@ -24,7 +24,6 @@ from lqminimax.harness import (
     run_risk_experiment,
 )
 from lqminimax.estimators import (
-    BasicInequalityCheck,
     l0_least_squares,
     l1_constrained_ls,
     lasso,
@@ -108,6 +107,7 @@ class TestConfig:
         ({"beta_magnitude_rule": "Constant"}, "beta_magnitude_rule 'Constant'"),
         ({"estimator": {"s": 1}}, "estimator kind None"),
         ({"beta_pattern": "randm_support"}, "beta_pattern 'randm_support'"),
+        ({"design_kind": "identity_sequence"}, "design_kind 'identity_sequence'"),
     ])
     def test_each_unknown_name_rejected(self, overrides, bad):
         with pytest.raises(ParameterError, match=bad):
@@ -121,8 +121,8 @@ class TestConfig:
         ({}, "247e3104183cce0f"),
         ({"design_kind": "correlated_gaussian", "sigma_cov": ((1.0, 0.5), (0.5, 1.0)),
           "d_rule": ("fixed", 2)}, "e0434b86bbca109e"),
-        ({"design_kind": "identity_sequence", "d_rule": ("proportional", 1.0),
-          "beta_magnitude_rule": "threshold_logd"}, "e26f667ebb06901a"),
+        ({"d_rule": ("proportional", 1.0), "beta_magnitude_rule": "threshold_logd"},
+         "82b3654098ee8e74"),
         ({"ball": BallSpec(1.0, 2.0), "estimator": {"kind": "l1", "radius": 2.0}},
          "cef542eebabea7f9"),
         ({"ball": BallSpec(0.5, 2.0), "estimator": {"kind": "lq"}}, "467675f2fc774a56"),
@@ -394,6 +394,11 @@ class TestRunRiskExperiment:
             assert a.losses == b.losses  # bit-identical
             assert a.seed == b.seed
 
+    @pytest.mark.parametrize("n_workers", [0, -1, 2.5])
+    def test_worker_count_checked(self, n_workers):
+        with pytest.raises(ParameterError, match="'n_workers' must be an integer >= 1"):
+            run_risk_experiment(_tiny_config(), n_workers=n_workers)
+
     def test_worker_count_does_not_change_results(self):
         cfg = _tiny_config()
         serial = run_risk_experiment(cfg, n_workers=1)
@@ -510,6 +515,11 @@ class TestFitRateSlope:
         assert fit.excluded_zero_cells == 1
         assert fit.n_points == 3
 
+    def test_unknown_loss_names_the_records_losses(self):
+        with pytest.raises(ParameterError,
+                           match=r"^the records carry no loss 'l1'; they carry \['l2', 'pred'\]$"):
+            fit_rate_slope(_synthetic_records(lambda n: 1.0 / n), loss_kind="l1")
+
     def test_composite_predictor(self):
         recs = _synthetic_records(lambda n: 2 * math.log(16 / 2) * 2.0 / n)
         fit = fit_rate_slope(recs, predictor="s_logd_over_n", s=2)
@@ -572,68 +582,105 @@ class TestCorollary1:
         with pytest.raises(ParameterError, match="^'tau' "):
             corollary1_experiment((64, 128, 256), tau, BallSpec(0.0, 2))
 
+    @pytest.mark.parametrize("n_grid, ball, message", [
+        ((64, 32, 128), BallSpec(0.0, 2), "strictly increasing"),
+        ((0, 32, 64), BallSpec(0.0, 2), "'n_grid' must be an integer >= 1"),
+        ((4, 8, 16), BallSpec(0.0, 5), r"support budget 5.0 not in \[1, 4\]"),
+    ], ids=["decreasing", "zero", "s_above_n"])
+    def test_grid_checked(self, n_grid, ball, message):
+        with pytest.raises(ParameterError, match=message):
+            corollary1_experiment(n_grid, 1.0, ball)
+
+    @staticmethod
+    def _top_s_and_exact_l0(y, s):
+        """(support, objective) of the closed form and of exact l0 on sqrt(n) I."""
+        X = math.sqrt(len(y)) * np.eye(len(y))
+        beta = harness._sequence_estimate(y, BallSpec(0.0, s))
+        r = y - X @ beta
+        exact = l0_least_squares(X, y, s)
+        assert float(r @ r) == pytest.approx(exact.objective, rel=1e-12, abs=1e-12)
+        return tuple(np.flatnonzero(beta)), exact.support
+
+    def test_top_s_matches_exact_l0(self):
+        rng = np.random.default_rng(17)
+        for n in range(1, 13):
+            y = rng.standard_normal(n)
+            for s in range(1, n + 1):
+                top, exact = self._top_s_and_exact_l0(y, s)
+                assert top == exact and len(top) == s
+
+    def test_top_s_ties_match_exact_l0(self):
+        # both give a tie to the smaller index, for equal |y_i| of either sign
+        rng = np.random.default_rng(3)
+        for n in range(1, 13):
+            for y in (np.ones(n), rng.choice([-2.0, -1.0, 1.0, 2.0], n)):
+                for s in range(1, n + 1):
+                    top, exact = self._top_s_and_exact_l0(y, s)
+                    assert top == exact
+        assert self._top_s_and_exact_l0(np.ones(3), 1) == ((0,), (0,))
+
+    def test_l1_projection_meets_the_l1_solver(self):
+        # the projection is the exact optimum; FISTA stops within its duality gap of it
+        rng = np.random.default_rng(5)
+        for n in (1, 5, 12, 40):
+            y = 2.0 * rng.standard_normal(n)
+            X = math.sqrt(n) * np.eye(n)
+            for radius in (0.3, 1.0, 1e3):
+                beta = harness._sequence_estimate(y, BallSpec(1.0, radius))
+                res = l1_constrained_ls(X, y, radius)
+                r = y - X @ beta
+                assert np.abs(beta).sum() <= radius * (1 + 1e-12)
+                assert res.converged
+                assert -1e-9 <= res.objective - float(r @ r) <= res.info["duality_gap"] + 1e-9
+
 
 class TestSequenceModelConfig:
+    """The sequence model as ``corollary1_experiment`` sets it up: d = n and
+    X = sqrt(n) I in sequence form, solved by projection."""
+
     @staticmethod
-    def _config(**overrides):
-        base = dict(ball=BallSpec(0.0, 2), sigma=1.5, n_grid=(16, 32, 64),
-                    estimator={"kind": "l0", "s": 2}, d_rule=("proportional", 1.0),
-                    design_kind="identity_sequence", trials_per_cell=2,
-                    losses=(LossSpec.l2(),), seed_root=11,
-                    beta_magnitude_rule="threshold_logd")
-        base.update(overrides)
-        return ExperimentConfig(**base)
+    def _run(monkeypatch, ball, estimate=None):
+        """(records, y per trial) of a 3-cell, 2-trial run at tau 1.5 and seed 11."""
+        records, ys = [], []
+        fit, solve = harness.fit_rate_slope, estimate or harness._sequence_estimate
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "fit_rate_slope",
+                          lambda recs, *a, **k: records.extend(recs) or fit(recs, *a, **k))
+            patch.setattr(harness, "_sequence_estimate",
+                          lambda y, ball: ys.append(y) or solve(y, ball))
+            corollary1_experiment((16, 32, 64), 1.5, ball, trials_per_cell=2, seed_root=11)
+        return records, ys
 
     def test_record_reproduces_generic_pipeline(self, monkeypatch):
-        seen, methods = [], []
-        real = harness._run_estimator
-
-        def spy(est, inst):
-            seen.append(inst)
-            result = real(est, inst)
-            methods.append(result.info["method"])
-            return result
-
-        monkeypatch.setattr(harness, "_run_estimator", spy)
-        config = self._config(losses=(LossSpec.l2(), LossSpec.prediction()))
-        records = run_risk_experiment(config).records
-        assert len(seen) == len(records) == 6
-        assert set(methods) == {"l0_identity"}  # the scalar-identity shortcut
-        for rec, inst in zip(records, seen):
+        # y is the regression a d = n sweep draws on sqrt(n) I, bit for bit, and the
+        # loss is exact l0's on it
+        ball = BallSpec(0.0, 2)
+        records, ys = self._run(monkeypatch, ball)
+        assert [(r.n, r.d, r.trial) for r in records] == [
+            (n, n, t) for n in (16, 32, 64) for t in (0, 1)]
+        for rec, y in zip(records, ys):
             n = rec.n
-            assert rec.d == inst.d == n
-            X = generate_design(DesignSpec("identity_sequence", n, n,
-                                           seed=derive_seed(rec.seed, 1)))
-            beta = generate_sparse_beta(config.ball, n, seed=derive_seed(rec.seed, 2),
+            assert rec.seed == derive_seed(11, n, n, rec.trial)
+            X = math.sqrt(n) * np.eye(n)
+            beta = generate_sparse_beta(ball, n, seed=derive_seed(rec.seed, 2),
                                         magnitude=1.5 * math.sqrt(2.0 * math.log(n) / n))
-            ref = simulate(X, beta, 1.5, seed=rec.seed, ball=config.ball)
-            assert np.array_equal(inst.X, math.sqrt(n) * np.eye(n))
-            assert np.array_equal(inst.beta_star, ref.beta_star)
-            assert np.count_nonzero(inst.beta_star) == 2
-            assert np.array_equal(inst.y, ref.y)
-            assert inst.sigma == config.sigma == 1.5
-            # ||sqrt(n) delta||^2 / n: the prediction loss is the l2 loss
-            assert rec.losses["pred"] == pytest.approx(rec.losses["l2"], rel=1e-12)
+            ref = simulate(X, beta, 1.5, seed=rec.seed, ball=ball)
+            assert np.array_equal(y, ref.y)
+            assert np.count_nonzero(beta) == 2
+            exact = l0_least_squares(X, y, 2)
+            assert rec.losses["l2"] == pytest.approx(
+                loss(LossSpec.l2(), None, exact.beta_hat, beta), rel=1e-12)
 
     def test_objective_ok_and_wall_ms_are_measured(self, monkeypatch):
-        calls = []
-
-        def failing_check(inst, result):
-            calls.append((inst.X.shape, float(inst.sigma)))
-            return BasicInequalityCheck(objective_ok=False, eqn_basic_ok=False,
-                                        lhs=1.0, rhs=0.0)
-
-        monkeypatch.setattr(harness, "check_basic_inequality", failing_check)
-        config = self._config(estimator={"kind": "l1", "radius": 2.0}, ball=BallSpec(1.0, 2.0))
-        records = run_risk_experiment(config).records
-        assert len(calls) == len(records) == 6
+        for ball in (BallSpec(0.0, 2), BallSpec(1.0, 2.0)):
+            records, _ = self._run(monkeypatch, ball)
+            assert all(rec.objective_ok is True for rec in records)
+        # an estimate the truth beats fails the basic inequality
+        records, _ = self._run(monkeypatch, BallSpec(0.0, 2),
+                               lambda y, ball: np.full(len(y), 10.0))
+        assert len(records) == 6
         assert all(rec.objective_ok is False for rec in records)
         assert all(rec.wall_ms > 0.0 for rec in records)
-        assert calls[0] == ((16, 16), 1.5)
-
-    def test_fixed_dimension_rejected(self):
-        with pytest.raises(ParameterError, match="identity_sequence"):
-            self._config(d_rule=("fixed", 32))
 
     def test_predictor_table(self):
         recs = _synthetic_records(lambda n: 1.0 / n)
@@ -876,44 +923,46 @@ class TestCli:
         with pytest.raises(ParameterError, match="'radius' must be a finite number > 0"):
             cli_main(["simulate", "--n", "20", "--d", "6", "--q", "0.5", "--radius", "inf"])
 
-    def test_simulate_identity_sequence_sigma_is_tau(self, tmp_path, capsys):
-        out = tmp_path / "inst.json"
-        code = cli_main(["simulate", "--design", "identity_sequence", "--n", "400",
-                         "--d", "400", "--sigma", "1", "--out", str(out)])
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["sigma"] == 1.0
-        saved = json.loads(out.read_text())
-        X = generate_design(DesignSpec("identity_sequence", 400, 400, seed=derive_seed(0, 1)))
-        beta = generate_sparse_beta(BallSpec(0.0, 1), 400, seed=derive_seed(0, 2))
-        ref = simulate(X, beta, 1.0, seed=0)
-        assert np.array_equal(saved["X"], (20.0 * np.eye(400)).ravel())
-        assert np.array_equal(saved["y"], ref.y)
-        assert np.std(ref.noise()) == pytest.approx(1.0, rel=0.1)
-        with pytest.raises(DimensionError, match="n == d"):
-            cli_main(["simulate", "--design", "identity_sequence", "--n", "40", "--d", "30"])
+    def test_simulate_has_no_design_option(self, capsys):
+        # simulate draws standard Gaussian designs only
+        with pytest.raises(SystemExit):
+            cli_main(["simulate", "--design", "identity_sequence", "--n", "4", "--d", "4"])
+        assert "unrecognized arguments: --design" in capsys.readouterr().err
 
     def test_simulate_pattern_choices(self, capsys):
         with pytest.raises(SystemExit):
             cli_main(["simulate", "--n", "5", "--d", "5", "--pattern", "explicit"])
         assert "first_coordinates" in capsys.readouterr().err
 
-    def test_fit_rate_two_logn_over_n_matches_corollary1(self, tmp_path, capsys, monkeypatch):
-        configs = []
-        real = harness.run_risk_experiment
-
-        def spy(config, n_workers=1):
-            configs.append(config)
-            return real(config, n_workers)
-
-        monkeypatch.setattr(harness, "run_risk_experiment", spy)
-        fit = corollary1_experiment((64, 128, 256), 1.0, BallSpec(0.0, 2),
-                                    trials_per_cell=10, seed_root=3)
+    def test_fit_rate_two_logn_over_n_matches_corollary1(self, tmp_path, capsys):
+        # a d = n sweep fitted against 2 log n / n states the sequence model's theory
+        # slope at the sequence model's points, and fits as fit_rate_slope does
+        cfg = _tiny_config(d_rule=("proportional", 1.0), beta_magnitude_rule="threshold_logd")
         cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(configs[0].to_json_dict()))
+        cfg_path.write_text(json.dumps(cfg.to_json_dict()))
         code = cli_main(["fit-rate", "--config", str(cfg_path),
                          "--predictor", "two_logn_over_n"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
+        fit = fit_rate_slope(run_risk_experiment(cfg).records, predictor="two_logn_over_n")
+        seq = corollary1_experiment((10, 20, 40), 0.5, BallSpec(0.0, 1), trials_per_cell=3,
+                                    seed_root=5)
         assert doc["slope"] == fit.slope
-        assert doc["theoretical_slope"] == fit.theoretical_slope == 1.0
+        assert doc["theoretical_slope"] == seq.theoretical_slope == 1.0
+        assert [c[:3] for c in doc["cells"]] == [list(c[:3]) for c in seq.cells]
+
+    def _tiny_l0_config(self, tmp_path):
+        """The tiny l0 config file that the tier1 workflow's fit-rate step runs."""
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"ball": {"q": 0, "radius": 1},
+                                    "estimator": {"kind": "l0", "s": 1},
+                                    "d_rule": ["fixed", 4], "n_grid": [10, 20, 40], "sigma": 1}))
+        return str(path)
+
+    def test_fit_rate_unknown_loss_names_the_losses(self, tmp_path):
+        with pytest.raises(ParameterError, match=r"carry no loss 'l1'; they carry \['l2', 'pred'\]"):
+            cli_main(["fit-rate", "--config", self._tiny_l0_config(tmp_path), "--loss", "l1"])
+
+    def test_fit_rate_refuses_zero_workers(self, tmp_path):
+        with pytest.raises(ParameterError, match="'n_workers' must be an integer >= 1, got 0"):
+            cli_main(["fit-rate", "--config", self._tiny_l0_config(tmp_path), "--workers", "0"])

@@ -57,13 +57,9 @@ class TestBallSpec:
 
 class TestGenerateDesign:
     def test_identity_sequence(self):
-        # sqrt(n) I: unit column norm constant, as for the Gaussian ensembles
-        spec = DesignSpec("identity_sequence", n=3, d=3, seed=0)
-        assert np.array_equal(generate_design(spec), math.sqrt(3) * np.eye(3))
-
-    def test_identity_requires_square(self):
-        with pytest.raises(DimensionError):
-            DesignSpec("identity_sequence", n=3, d=4)
+        # the sequence model needs no design matrix (harness.corollary1_experiment)
+        with pytest.raises(ParameterError, match="unknown design kind 'identity_sequence'"):
+            DesignSpec("identity_sequence", n=3, d=3, seed=0)
 
     def test_zero_dims_rejected(self):
         with pytest.raises(DimensionError):
@@ -101,7 +97,6 @@ class TestGenerateDesign:
         assert np.allclose(spec.root @ spec.root, COV4, atol=1e-12)
         assert np.allclose(spec.root, spec.root.T, rtol=0.0, atol=1e-14)
         assert DesignSpec("standard_gaussian", n=5, d=4).root is None
-        assert DesignSpec("identity_sequence", n=4, d=4).root is None
         assert "root" not in repr(spec)
 
     def test_equality_ignores_the_root(self):
@@ -217,8 +212,8 @@ class TestSimulate:
 
 
 def _sequence_instance(n, tau, ball, seed=0):
-    """The sequence model as the harness builds it: sqrt(n) I, noise level tau."""
-    X = generate_design(DesignSpec("identity_sequence", n, n, seed=seed))
+    """The sequence model as a regression on X = sqrt(n) I, noise level tau."""
+    X = math.sqrt(n) * np.eye(n)
     return simulate(X, generate_sparse_beta(ball, n, seed=seed), tau, seed=seed, ball=ball)
 
 

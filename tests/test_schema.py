@@ -60,16 +60,12 @@ estimators = estimators_within(32)  # the default d_rule fixes d = 32
 
 @st.composite
 def configs(draw):
-    design_kind = draw(st.sampled_from(
-        ["standard_gaussian", "correlated_gaussian", "identity_sequence"]))
+    design_kind = draw(st.sampled_from(["standard_gaussian", "correlated_gaussian"]))
     n_grid = tuple(sorted(draw(st.sets(st.integers(1, 10**6), min_size=1, max_size=6))))
     sigma_cov = None
     # a config checks every grid dimension when it is built, so d_rule gives d >= 1
     # at the smallest n, d_min, and a q = 0 ball's budget is at most d_min
-    if design_kind == "identity_sequence":
-        d_rule = ("proportional", 1.0)
-        d_min = n_grid[0]
-    elif design_kind == "correlated_gaussian":
+    if design_kind == "correlated_gaussian":
         # a config checks Sigma when it is built: PSD Sigma = A A^T, exactly
         # symmetric as each entry sums the same products, and d fixed at its size
         k = draw(st.integers(1, 3))
