@@ -104,6 +104,9 @@ def _cmd_fit_rate(args) -> int:
     if args.seed is not None:
         doc["seed_root"] = args.seed
     config = harness.ExperimentConfig.from_json_dict(doc)
+    names = sorted(sp.name for sp in config.losses)
+    if args.loss not in names:  # before the sweep, not after it
+        raise ParameterError(f"the records carry no loss {args.loss!r}; they carry {names}")
     run = harness.run_risk_experiment(config, n_workers=args.workers)
     fit = harness.fit_rate_slope(run.records, loss_kind=args.loss,
                                  predictor=args.predictor, q=config.ball.q,

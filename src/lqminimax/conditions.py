@@ -279,13 +279,15 @@ def re_constant(
 
 def _kernel_directions(X: np.ndarray, count: int, seed: int) -> np.ndarray:
     """Rows: an orthonormal basis of the kernel of X, then ``count`` random
-    combinations of it (no rows when the kernel is trivial)."""
-    from scipy.linalg import null_space  # deferred: a slow import few callers need
-    basis = null_space(X, rcond=1e-10)
-    if basis.shape[1] == 0:
+    combinations of it (no rows when the kernel is trivial).  The basis is
+    ``scipy.linalg.null_space(X, rcond=1e-10)``'s: the right singular vectors
+    past those with s > 1e-10 max(s)."""
+    _, s, vh = np.linalg.svd(X, full_matrices=True)
+    basis = vh[np.count_nonzero(s > 1e-10 * np.max(s, initial=0.0)):]
+    if len(basis) == 0:
         return np.zeros((0, X.shape[1]))
-    g = np.random.default_rng(seed).standard_normal((count, basis.shape[1]))
-    return np.vstack([basis.T, g @ basis.T])
+    g = np.random.default_rng(seed).standard_normal((count, len(basis)))
+    return np.vstack([basis, g @ basis])
 
 
 def _polish(X, params, theta, value, seed, rounds: int = 400):

@@ -12,7 +12,9 @@ residual.  These solvers step 1/L, where L is a Lanczos upper bound on
 sigma_max(X)^2 within a factor 1 + 1e-6 of it (``_lipschitz`` says when it
 can fall short).  When n >= d they form G = X^T X and c = X^T y once per
 call, d^2 + d floats on top of X, and take every gradient and Lanczos product
-from them at d^2 flops; when n < d they use products with X.
+from them at d^2 flops; when n < d they use products with X.  Like exact
+l0, they load no scipy module: Lanczos takes its Ritz pairs from
+``np.linalg.eigh``.
 
 ``_PARAMETER_RULES`` names each estimator parameter's rule in
 ``errors.SCALAR_RULES``; the solvers and ``ExperimentConfig`` both check
@@ -93,81 +95,69 @@ class EstimateResult:
         }
 
 
+_RITZ_EVERY = 4  # Lanczos steps between top Ritz pair computations
+
+
 def _lipschitz(apply: Callable, m: int, round_off: float) -> tuple:
     """(L, steps): an upper bound L on the top eigenvalue of an m x m symmetric
     PSD operator, given by its product ``apply``, and the Lanczos steps it took.
 
-    Lanczos with full reorthogonalisation from a seeded Gaussian start.  With
-    (theta, u) the top Ritz pair, beta the next Lanczos coefficient,
-    rho = beta |u_last| = ||A u - theta u|| and slack = rho + round_off theta
-    (``round_off`` covers the rounding of one product), it returns
-    L = theta + slack at the first step where slack <= 1e-6 theta and theta
-    has settled: it rose by at most slack over the last two steps, or
-    beta <= round_off theta, so the Krylov space is invariant (a multiple of
-    I after one step).  After m steps the Krylov space is the whole space and
-    it stops regardless.  Ritz values never exceed lambda_max and some
-    eigenvalue lies within rho of theta, but not necessarily the top one: a
-    Ritz value between two eigenvalues closer than rho has a small residual
-    too, and while the Krylov space holds little of the top eigenvector theta
-    can stall for a step near a lower eigenvalue, hence the two-step rule.
-    So L <= (1 + 1e-6) lambda_max, and lambda_max <= L unless the start is
-    numerically orthogonal to the top eigenvector or theta stalls for two
-    steps; the latter was seen only when the top eigenvalues cluster within
-    1e-5 relative, and L then fell short by less than the cluster's width.
-    The zero operator gives (0.0, 1).
+    Lanczos with full reorthogonalisation from a seeded Gaussian start.  Every
+    ``_RITZ_EVERY`` steps, at step m and at a breakdown (beta <= round_off
+    times the largest alpha, so the Krylov space is invariant: a multiple of I
+    after one step) it checks the top Ritz pair (theta, u) of the tridiagonal
+    T.  With beta the next Lanczos coefficient, rho = beta |u_last| =
+    ||A u - theta u|| and slack = rho + round_off theta (``round_off`` covers
+    the rounding of one product), it returns L = theta + slack at the first
+    check where slack <= 1e-6 theta and theta has settled: it rose by at most
+    slack over the last two checks.  A breakdown or step m stops it
+    regardless.  Ritz values never exceed lambda_max and some eigenvalue lies
+    within rho of theta, but not necessarily the top one: a Ritz value between
+    two eigenvalues closer than rho has a small residual too, and while the
+    Krylov space holds little of the top eigenvector theta can stall near a
+    lower eigenvalue, hence the two-check rule.  So L <= (1 + 1e-6) lambda_max,
+    and lambda_max <= L unless the start is numerically orthogonal to the top
+    eigenvector or theta stalls over two checks; the latter was seen only when
+    the top eigenvalues cluster within 1e-5 relative, and L then fell short by
+    less than the cluster's width.  The zero operator gives (0.0, 1).
 
-    The basis lives in one array of 64 rows, doubled when full (never more
-    than m), and the top Ritz pair comes from the LAPACK bisection and
-    inverse iteration (dstebz, dstein) that ``eigh_tridiagonal`` runs for one
-    eigenvalue by index, called without its per-call checks.  scipy's LAPACK
-    module is imported here, once per call, so that importing the package and
-    exact l0, which never needs a Lipschitz bound, load no scipy module.
+    The basis lives in one array of 64 rows and T in one 64 x 64 array, both
+    doubled when full (never more than m), and the top Ritz pair comes from
+    ``np.linalg.eigh`` on T's leading block, so no scipy module is loaded.
+    Non-finite coefficients raise ParameterError before they are divided by.
     """
-    from scipy.linalg import lapack  # deferred: a slow import that exact l0 never needs
     start = np.random.default_rng(0).standard_normal(m)
     basis = np.empty((min(m, 64), m))
     basis[0] = start / np.linalg.norm(start)
-    alphas, betas = np.empty(m), np.empty(m)
-    tops = [-math.inf, -math.inf]  # top Ritz value after each step
+    T = np.zeros((len(basis), len(basis)))
+    top_alpha = 0.0
+    tops = [-math.inf, -math.inf]  # top Ritz value at each check
     for step in range(1, m + 1):
         w = apply(basis[step - 1])
-        alphas[step - 1] = basis[step - 1] @ w
+        alpha = float(basis[step - 1] @ w)
         V = basis[:step]
         w -= V.T @ (V @ w)
         w -= V.T @ (V @ w)  # a second pass restores orthogonality lost to round-off
         beta = float(np.linalg.norm(w))
-        theta, u_last = _top_ritz_pair(alphas[:step], betas[:step - 1], lapack)
-        slack = beta * abs(u_last) + round_off * theta
-        settled = theta - tops[-2] <= slack or beta <= round_off * theta
-        if (slack <= 1e-6 * theta and settled) or step == m:
-            break
-        tops.append(theta)
-        betas[step - 1] = beta
+        if not math.isfinite(alpha + beta):
+            raise ParameterError("Lanczos coefficients are not finite: X has overflowing entries")
+        T[step - 1, step - 1] = alpha
+        top_alpha = max(top_alpha, alpha)
+        breakdown = beta <= round_off * top_alpha
+        if step % _RITZ_EVERY == 0 or step == m or breakdown:
+            values, vectors = np.linalg.eigh(T[:step, :step])
+            theta = float(values[-1])
+            slack = beta * abs(float(vectors[-1, -1])) + round_off * theta
+            if (slack <= 1e-6 * theta and theta - tops[-2] <= slack) or breakdown or step == m:
+                break
+            tops.append(theta)
         if step == len(basis):
-            basis = np.concatenate([basis, np.empty((min(m, 2 * step) - step, m))])
+            size = min(m, 2 * step)
+            basis = np.concatenate([basis, np.empty((size - step, m))])
+            T = np.pad(T, (0, size - step))
+        T[step, step - 1] = T[step - 1, step] = beta
         basis[step] = w / beta
-    return theta + slack, step
-
-
-def _top_ritz_pair(alphas: np.ndarray, betas: np.ndarray, lapack) -> tuple:
-    """(theta, u_last): the top eigenvalue of the symmetric tridiagonal matrix
-    with diagonal ``alphas`` and off-diagonal ``betas``, and the last entry of
-    its unit eigenvector, as ``eigh_tridiagonal(select="i")`` computes them
-    with ``lapack``'s dstebz and dstein; ``_lipschitz`` imports
-    ``scipy.linalg.lapack`` and passes it in, so the import runs once per
-    bound, not once per step.  Earlier calls saw all but the last entries, so
-    only those are checked."""
-    k = len(alphas)
-    if not math.isfinite(alphas[-1] + (betas[-1] if k > 1 else 0.0)):
-        raise ParameterError("Lanczos coefficients are not finite: X has overflowing entries")
-    if k == 1:
-        return float(alphas[0]), 1.0
-    _, w, iblock, isplit, info = lapack.dstebz(alphas, betas, 2, 0.0, 1.0, k, k, 0.0, "B")
-    if info == 0:
-        u, info = lapack.dstein(alphas, betas, w[:1], iblock, isplit)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"tridiagonal eigensolver failed (info={info})")
-    return float(w[0]), float(u[-1, 0])
+    return float(theta + slack), step
 
 
 def _least_squares_gradient(X: np.ndarray, y: np.ndarray, c: Optional[np.ndarray] = None) -> tuple:

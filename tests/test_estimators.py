@@ -720,6 +720,28 @@ _NEAR_TIE = np.array([[0.001, 0.0], [-1.0, 0.0], [0.0, -1.0]])
 _NEAR_TIE_WIDE = np.array([[-1.0, -435.0, 0.0, 0.0, 0.0], [0.0] * 5, [0.0, 0.0, -435.0, 0.0, 0.0]])
 
 
+def _cluster_spectrum(family, m, width, rng):
+    """m eigenvalues whose top ones crowd 1 + ``width``."""
+    i = np.arange(m)
+    return {
+        "spike": lambda: np.where(i == 0, 1.0 + width, 1.0),  # 1 + w, 1, ..., 1
+        "linear": lambda: 1.0 + width * (m - i) / m,
+        "geometric": lambda: 1.0 + width * 0.5 ** i,
+        "pair": lambda: np.concatenate([[1.0 + width, 1.0][:m], np.linspace(0.5, 0.1, max(m - 2, 0))]),
+        "uniform": lambda: np.concatenate([[1.0 + width], 1.0 + width * rng.uniform(size=m - 1)]),
+    }[family]()
+
+
+def _clustered_design(family, m, e, seed):
+    """An (m + 3) x m design U diag(sqrt(lambda)) V^T with a random frame U and
+    rotation V, so its Gram matrix has the spectrum above at width 10^-e."""
+    rng = np.random.default_rng([m, e, seed])
+    eigenvalues = _cluster_spectrum(family, m, 10.0 ** -e, rng)
+    U, _ = np.linalg.qr(rng.standard_normal((m + 3, m)))
+    V, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    return (U * np.sqrt(eigenvalues)) @ V.T
+
+
 def _lipschitz(X):
     """(L, steps) as both projected-gradient solvers compute them for X: Lanczos
     on G = X^T X when n >= d, on X X^T through products with X otherwise."""
@@ -778,6 +800,10 @@ class TestLipschitz:
         lambda n: arrays(np.float64, (n, d), elements=_ENTRIES))))
     @example(_NEAR_TIE)
     @example(_NEAR_TIE_WIDE.T)
+    # the worst shortfalls of the sweep below when theta had to settle over two steps
+    # rather than two checks: 9.4e-6 and 9.0e-7 relative
+    @example(_clustered_design("pair", 8, 5, 0))
+    @example(_clustered_design("linear", 8, 5, 0))
     def test_gram_bound_property(self, X):
         # n >= d: Lanczos runs on G = X^T X, and its pad must cover G's rounding too
         _check_lipschitz(X)
@@ -793,6 +819,18 @@ class TestLipschitz:
             eigenvalues[0] += 10.0 ** -e
             _check_lipschitz((U * np.sqrt(eigenvalues)) @ V.T)
 
+    @pytest.mark.parametrize("family", ["spike", "linear", "geometric", "pair", "uniform"])
+    def test_clustered_shortfall_below_the_cluster_width(self, family):
+        # 180 rotated spectra per family, widths 1e-3 .. 1e-12: L may fall short of
+        # sigma_max^2 (5 of the 900 here) but never by the cluster's width
+        for m in (2, 3, 5, 8, 12, 50):
+            for e in range(3, 13):
+                for seed in range(3):
+                    X = _clustered_design(family, m, e, seed)
+                    lip, steps = _lipschitz(X)
+                    top = np.linalg.svd(X, compute_uv=False)[0] ** 2
+                    assert top - 10.0 ** -e * top < lip <= (1.0 + 1e-6) * top
+
     @pytest.mark.parametrize("shape", [(3, 2), (2, 3)])
     def test_overflowing_design_rejected(self, shape):
         # finite entries whose products overflow give non-finite Lanczos coefficients
@@ -800,18 +838,55 @@ class TestLipschitz:
                 pytest.raises(ParameterError, match="Lanczos coefficients are not finite"):
             _lipschitz(np.full(shape, 1e200))
 
-    @pytest.mark.parametrize("solver", ["l1", "lq"])
+    def test_overflow_between_checks_rejected(self, monkeypatch):
+        # the third product overflows: step 3 is no Ritz check, and the coefficients
+        # are tested before w is divided by beta
+        A, calls = np.diag(np.arange(1.0, 9.0)), []
+
+        def apply(v):
+            calls.append(v)
+            return A @ v if len(calls) < 3 else np.full(8, np.inf)
+
+        ritz = _spy_ritz(monkeypatch)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ParameterError, match="Lanczos coefficients are not finite"):
+            estimators._lipschitz(apply, 8, 8 * np.finfo(float).eps)
+        assert len(calls) == 3 and ritz == []
+
+    @pytest.mark.parametrize("X, expected_steps", [
+        (np.outer(np.arange(1.0, 31.0), np.linspace(-1.0, 2.0, 12)), 2),  # rank 1, Gram form
+        (np.outer(np.arange(1.0, 13.0), np.linspace(-1.0, 2.0, 30)), 2),  # rank 1, X form
+        (np.random.default_rng(7).standard_normal((30, 2))
+         @ np.random.default_rng(8).standard_normal((2, 12)), 3),
+        (np.random.default_rng(9).standard_normal((12, 2))
+         @ np.random.default_rng(10).standard_normal((2, 30)), 3),
+        (3.0 * np.eye(7), 1),
+        (np.zeros((5, 3)), 1),
+        (np.zeros((3, 5)), 1),
+        (np.random.default_rng(2).standard_normal((1, 9)), 1),
+    ], ids=["rank1_gram", "rank1_x", "rank2_gram", "rank2_x", "3I", "zero_tall", "zero_wide", "1x9"])
+    def test_breakdown_between_checks_stops(self, X, expected_steps, monkeypatch):
+        # the Krylov space of a rank-r operator on m > r coordinates is invariant
+        # after r + 1 steps (one for c I and for zero), before the first regular
+        # check at step 4: the breakdown is checked at once, and it stops Lanczos
+        ritz = _spy_ritz(monkeypatch)
+        _, steps = _check_lipschitz(X)
+        assert steps == expected_steps
+        assert [len(T) for T, _ in ritz] == [steps]
+
+    @pytest.mark.parametrize("solver", ["l1", "lq", "lasso"])
     def test_solvers_report_it(self, solver):
         for shape in [(30, 12), (12, 30)]:  # Gram form and X form
             X = np.random.default_rng(5).standard_normal(shape)
             res = _SOLVERS[solver](X, np.ones(shape[0]))
             assert (res.info["lipschitz"], res.info["lipschitz_steps"]) == _lipschitz(X)
+            assert type(res.info["lipschitz"]) is float
 
 
-def _lipschitz_eigh_tridiagonal(apply, m, round_off):
+def _lipschitz_reference(apply, m, round_off):
     """Reference for ``estimators._lipschitz``, which must match it bit for bit: a
-    list basis restacked every step and the top Ritz pair from
-    ``scipy.linalg.eigh_tridiagonal``."""
+    list basis restacked every step, and ``np.linalg.eigh`` on T rebuilt from the
+    coefficient lists at every fourth step, at step m and at a breakdown."""
     start = np.random.default_rng(0).standard_normal(m)
     basis = [start / np.linalg.norm(start)]
     alphas, betas = [], []
@@ -823,17 +898,31 @@ def _lipschitz_eigh_tridiagonal(apply, m, round_off):
         w -= V.T @ (V @ w)
         w -= V.T @ (V @ w)
         beta = float(np.linalg.norm(w))
-        theta, u = eigh_tridiagonal(np.array(alphas), np.array(betas),
-                                    select="i", select_range=(step - 1, step - 1))
-        theta = float(theta[0])
-        slack = beta * abs(float(u[-1, 0])) + round_off * theta
-        settled = theta - tops[-2] <= slack or beta <= round_off * theta
-        if (slack <= 1e-6 * theta and settled) or step == m:
-            break
-        tops.append(theta)
+        breakdown = beta <= round_off * max(0.0, *alphas)
+        if step % 4 == 0 or step == m or breakdown:
+            T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+            values, vectors = np.linalg.eigh(T)
+            theta = float(values[-1])
+            slack = beta * abs(float(vectors[-1, -1])) + round_off * theta
+            if (slack <= 1e-6 * theta and theta - tops[-2] <= slack) or breakdown or step == m:
+                break
+            tops.append(theta)
         betas.append(beta)
         basis.append(w / beta)
     return theta + slack, step
+
+
+def _spy_ritz(monkeypatch):
+    """A list that collects (T, eigenvalues) for every ``np.linalg.eigh`` call."""
+    calls, eigh = [], np.linalg.eigh
+
+    def spy(T):
+        values, vectors = eigh(T)
+        calls.append((np.array(T), values))
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return calls
 
 
 def _rotated_spectrum(m, power, seed):
@@ -855,7 +944,7 @@ def _rotated_spectrum(m, power, seed):
     (_rotated_spectrum(400, 0.25, 400), 129),  # the basis grows twice
 ], ids=["gram_40x20", "gram_400x200", "x_20x40", "x_50x300", "3I", "zero_tall", "zero_wide",
         "grow_to_m", "grow_twice"])
-def test_lanczos_matches_eigh_tridiagonal_version(X, min_steps):
+def test_lanczos_matches_eigh_tridiagonal_version(X, min_steps, monkeypatch):
     n, d = X.shape
     eps = np.finfo(float).eps
     if n >= d:
@@ -863,9 +952,22 @@ def test_lanczos_matches_eigh_tridiagonal_version(X, min_steps):
         args = (G.__matmul__, d, (2 * n + d) * eps)
     else:
         args = (lambda v: X @ (X.T @ v), n, (n + d) * eps)
+    ritz = _spy_ritz(monkeypatch)
     lip, steps = estimators._lipschitz(*args)
-    assert (lip, steps) == _lipschitz_eigh_tridiagonal(*args)
+    monkeypatch.undo()
+    assert (lip, steps) == _lipschitz_reference(*args)
     assert steps >= min_steps
+    # every check saw the tridiagonal T so far, and its top Ritz value agrees with
+    # scipy's tridiagonal eigensolver
+    sizes = [len(T) for T, _ in ritz]
+    assert sizes == [k for k in range(1, steps + 1) if k % 4 == 0 or k == steps]
+    for T, values in ritz:
+        k = len(T)
+        assert np.array_equal(T, np.diag(np.diag(T)) + np.diag(np.diag(T, 1), 1) + np.diag(np.diag(T, -1), -1))
+        assert np.array_equal(T, T.T)
+        top = eigh_tridiagonal(np.diag(T), np.diag(T, 1), eigvals_only=True,
+                               select="i", select_range=(k - 1, k - 1))[0]
+        assert abs(values[-1] - top) <= 1e-12 * abs(top)
 
 
 def _reference_l1(X, y, r1, lip, max_iter, tol):

@@ -1,5 +1,6 @@
 """Every name a module lists in ``__all__`` resolves, so a deletion leaves no stale export;
-importing the package, exact l0 and the sequence model load no scipy module."""
+importing the package, exact l0, the sequence model, the convex solvers and the
+kernel diagnostics load no scipy module."""
 
 import importlib
 import json
@@ -53,8 +54,9 @@ def test_import_defers_heavy_scipy_modules():
 
 def test_exact_l0_grid_and_fit_load_no_scipy():
     # n = 20 < d = 32 takes the unpruned fallback and n = 40, 80 the bound factor;
-    # the sequence model at q = 0 and q = 1 is a projection; the l1 solver's
-    # Lanczos bound is where scipy.linalg first loads
+    # the sequence model at q = 0 and q = 1 is a projection; the l1, lasso and lq
+    # solvers' Lanczos bound takes its Ritz pairs from numpy, and the kernel
+    # diagnostics their basis from numpy's SVD
     loaded = _loaded_after(
         "import numpy as np\n"
         "from lqminimax import BallSpec, ExperimentConfig, corollary1_experiment, "
@@ -70,6 +72,19 @@ def test_exact_l0_grid_and_fit_load_no_scipy():
         "mark('seq_q1')\n"
         "X = np.random.default_rng(0).standard_normal((20, 10))\n"
         "l1_constrained_ls(X, X[:, 0], 1.0)\n"
-        "mark('l1')\n")
+        "mark('l1')\n"
+        "from lqminimax import REParams, kernel_diameter, lasso, lq_constrained_ls, re_constant\n"
+        "res = lasso(X, X[:, 0], 0.01)\n"
+        "assert res.info['lipschitz_steps'] > 0\n"  # below lam_max: Lanczos ran
+        "mark('lasso')\n"
+        "lq_constrained_ls(X, X[:, 0], BallSpec(0.5, 1.0), [np.zeros(10)])\n"
+        "mark('lq')\n"
+        "W = X[:6]\n"  # 6 x 10: a kernel of dimension 4
+        "kernel_diameter(W, BallSpec(1.0, 1.0))\n"
+        "mark('kernel_diameter')\n"
+        "re_constant(W, REParams(s=2, c0=1.0), mode='exact_tiny', n_samples=50, seed=0)\n"
+        "mark('re_exact_tiny')\n")
     assert loaded["l0"] == loaded["seq_q0"] == loaded["seq_q1"] == []
-    assert "scipy.linalg" in loaded["l1"]
+    assert loaded["l1"] == []
+    assert loaded["lasso"] == loaded["lq"] == []
+    assert loaded["kernel_diameter"] == loaded["re_exact_tiny"] == []
