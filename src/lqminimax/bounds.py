@@ -299,12 +299,11 @@ class LogBinomial:
 
 
 def log_binomial(d: int, s: int) -> LogBinomial:
-    """Exact log C(d, s) via log-gamma, with the standard bracketing."""
-    from scipy.special import gammaln  # deferred: a slow import few callers need
+    """Exact log C(d, s) via ``math.lgamma``, with the standard bracketing."""
     require_scalars("index", d=d, s=s)
     if s > d:
         raise ParameterError(f"need 0 <= s <= d, got s={s}, d={d}")
-    value = float(gammaln(d + 1) - gammaln(s + 1) - gammaln(d - s + 1))
+    value = math.lgamma(d + 1) - math.lgamma(s + 1) - math.lgamma(d - s + 1)
     if s == 0:
         return LogBinomial(value=value, lower=0.0, upper=0.0)
     return LogBinomial(

@@ -2,8 +2,9 @@
 
 Runs risk sweeps over (n, d) grids with seeded, reproducible trials, fits
 log-log rate slopes against the theoretical predictors, reproduces the
-l1-vs-l0 counterexample design deterministically, and persists records to
-CSV/JSON with a config hash in every file header.
+l1-vs-l0 counterexample design deterministically (its min-l1 interpolant
+by exact enumeration of the bases of X, on numpy alone), and persists
+records to CSV/JSON with a config hash in every file header.
 
 Seeding: seed(cell, trial) = hash(seed_root, n, d, trial), further split
 into design / truth / noise streams, so any subset of trials can be rerun
@@ -24,7 +25,7 @@ import numpy as np
 from .ballgeom import project_l1
 from .conditions import in_cone
 from .errors import (ConsistencyError, CovarianceError, DimensionError, ParameterError, as_scalar,
-                     as_tuple, require_scalars, store_scalars)
+                     as_tuple, require_finite, require_rows, require_scalars, store_scalars)
 from .estimators import (
     _PARAMETER_RULES,
     EstimateResult,
@@ -37,6 +38,7 @@ from .estimators import (
 )
 from .linmodel import (BallSpec, InstanceSpec, LossSpec, ProblemInstance, derive_seed,
                        generate_sparse_beta, loss, split_streams)
+from .supports import support_chunks
 
 __all__ = [
     "ExperimentConfig",
@@ -387,16 +389,61 @@ COUNTEREXAMPLE_BETA = np.array([1.0, 0.0, 0.0])
 
 
 def min_l1_interpolant(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """argmin ||b||_1 subject to X b = y, via the LP split b = b+ - b-."""
-    from scipy.optimize import linprog  # deferred: a slow import few callers need
+    """argmin ||b||_1 subject to X b = y, by exact enumeration of the bases of X.
+
+    Write b = b+ - b- with b+, b- >= 0.  The linear program
+    min 1'(b+ + b-) subject to X (b+ - b-) = y is bounded below by 0, so a
+    feasible one attains its optimum at a vertex, and its vertices are
+    exactly the solutions b whose support columns are linearly independent.
+    Any such support extends to a set of r = rank(X) independent columns,
+    and the solution of X_S b_S = y on that set is the same b.  So the least
+    ||b||_1 over the size-r supports S with rank(X_S) = r is the LP optimum.
+    When r is below the number of rows, the solves work in the basis of
+    range(X) that X's SVD gives, where X_S is r x r; rank is judged by
+    ``matrix_rank``'s rule.  Supports come from ``support_chunks`` in
+    lexicographic order, and ``argmin`` within a chunk and a strict ``<``
+    across chunks keep the first of equal norms, so ties go to the
+    lexicographically first support.
+
+    Raises ParameterError on a NaN or inf, DimensionError when y does not
+    match the rows of X, ConsistencyError when X b = y has no solution (the
+    least-squares residual exceeds 1e-9 (sigma_max(X) |b| + |y|) in max
+    norm), and EnumerationBudgetError before any support is solved when
+    C(d, r) exceeds the enumeration budget.  X of rank 0, with y = 0, gives
+    the zero vector.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
+    require_rows(X, y=y)
+    require_finite(X=X, y=y)
     d = X.shape[1]
-    res = linprog(c=np.ones(2 * d), A_eq=np.hstack([X, -X]), b_eq=y,
-                  bounds=(0, None), method="highs")
-    if not res.success:
-        raise ConsistencyError(f"interpolation LP failed: {res.message}")
-    return res.x[:d] - res.x[d:]
+    u, sv, vt = np.linalg.svd(X, full_matrices=False)
+    r = int(np.count_nonzero(sv > sv[0] * max(X.shape) * np.finfo(float).eps))
+    c = u[:, :r].T @ y  # y in a basis of range(X)
+    b_ls = vt[:r].T @ (c / sv[:r])
+    # max norms, which do not underflow where a sum of squares would
+    if np.abs(X @ b_ls - y).max() > 1e-9 * (sv[0] * np.abs(b_ls).max() + np.abs(y).max()):
+        raise ConsistencyError("X b = y has no solution: y lies outside the range of X")
+    beta, best = np.zeros(d), math.inf
+    if r == 0:
+        return beta
+    if r < X.shape[0]:  # X and y in that basis; with full row rank, as they are
+        X, y = sv[:r, None] * vt[:r], c
+    for supports in support_chunks(d, r, per_support=r * r):
+        blocks = np.moveaxis(X[:, supports], 1, 0)
+        independent = np.linalg.matrix_rank(blocks) == r
+        if not independent.any():
+            continue
+        blocks, supports = blocks[independent], supports[independent]
+        # y as a stack of one-column matrices, which every numpy >= 1.24 solves alike
+        sols = np.linalg.solve(blocks, np.broadcast_to(y[:, None], (len(blocks), r, 1)))[..., 0]
+        norms = np.abs(sols).sum(axis=1)
+        i = int(np.argmin(norms))
+        if norms[i] < best:
+            best = norms[i]
+            beta = np.zeros(d)
+            beta[supports[i]] = sols[i]
+    return beta
 
 
 @dataclass(frozen=True)
@@ -442,8 +489,8 @@ def counterexample_scenario() -> CounterexampleReport:
         cone_ok=bool(cone_ok),
         l0_recovery_ok=l0_recovery_ok,
         l1_failure_ok=l1_failure_ok,
-        beta_l0=tuple(l0.beta_hat),
-        beta_min_l1=tuple(beta_l1),
+        beta_l0=tuple(float(v) for v in l0.beta_hat),
+        beta_min_l1=tuple(float(v) for v in beta_l1),
         min_l1_norm=l1_norm,
     )
 

@@ -379,6 +379,14 @@ class TestLogBinomial:
     def test_symmetry(self):
         assert log_binomial(12, 3).value == pytest.approx(log_binomial(12, 9).value)
 
+    def test_matches_scipy_gammaln(self):
+        # math.lgamma against scipy's gammaln, the log-gamma it replaced
+        from scipy.special import gammaln
+        d, s = np.tril_indices(400)
+        ref = gammaln(d + 1) - gammaln(s + 1) - gammaln(d - s + 1)
+        got = [log_binomial(int(a), int(b)).value for a, b in zip(d, s)]
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
     def test_bracketing_grid(self):
         for d in (4, 16, 64):
             for s in range(1, d + 1):

@@ -1,6 +1,7 @@
 """Every name a module lists in ``__all__`` resolves, so a deletion leaves no stale export;
-importing the package, exact l0, the sequence model, the convex solvers and the
-kernel diagnostics load no scipy module."""
+importing the package, exact l0, the sequence model, the convex solvers, the
+kernel diagnostics, the l1-vs-l0 counterexample and ``log_binomial`` load no
+scipy module."""
 
 import importlib
 import json
@@ -88,3 +89,14 @@ def test_exact_l0_grid_and_fit_load_no_scipy():
     assert loaded["l1"] == []
     assert loaded["lasso"] == loaded["lq"] == []
     assert loaded["kernel_diameter"] == loaded["re_exact_tiny"] == []
+
+
+def test_counterexample_and_log_binomial_load_no_scipy():
+    # the min-l1 interpolant enumerates bases with numpy; log-gamma is math.lgamma
+    loaded = _loaded_after(
+        "from lqminimax import counterexample_scenario, log_binomial\n"
+        "log_binomial(1024, 5)\n"
+        "mark('log_binomial')\n"
+        "assert counterexample_scenario().all_ok\n"
+        "mark('counterexample')\n")
+    assert loaded == {"log_binomial": [], "counterexample": []}

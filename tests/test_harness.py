@@ -2,14 +2,17 @@ import json
 import math
 import re
 import sys
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lqminimax import harness
 from lqminimax.cli import main as cli_main
 from lqminimax.bounds import RateQuery, minimax_rate
-from lqminimax.errors import CovarianceError, DimensionError, ParameterError
+from lqminimax.errors import (ConsistencyError, CovarianceError, DimensionError,
+                              EnumerationBudgetError, ParameterError)
 from lqminimax.harness import (
     COUNTEREXAMPLE_X,
     ExperimentConfig,
@@ -562,6 +565,89 @@ class TestCounterexample:
         out = min_l1_interpolant(X, X @ beta)
         assert np.allclose(X @ out, X @ beta, atol=1e-8)
         assert np.abs(out).sum() <= np.abs(beta).sum() + 1e-8
+
+    def test_report_stores_python_floats(self):
+        report = counterexample_scenario()
+        for v in report.beta_l0 + report.beta_min_l1:
+            assert type(v) is float
+
+    def test_min_l1_beta_is_the_kernel_shift(self):
+        beta = np.array(counterexample_scenario().beta_min_l1)
+        assert np.max(np.abs(beta - [0.0, -1.0 / 3.0, -1.0 / 3.0])) <= 1e-12
+
+
+def _basic_solutions(X, y):
+    """Every b solving X b = y on rank(X) independent columns (the LP's vertices)."""
+    r = np.linalg.matrix_rank(X)
+    for S in combinations(range(X.shape[1]), r):
+        if np.linalg.matrix_rank(X[:, S]) == r:
+            b = np.zeros(X.shape[1])
+            b[list(S)] = np.linalg.lstsq(X[:, S], y, rcond=None)[0]
+            yield b
+
+
+class TestMinL1Interpolant:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda m: st.tuples(st.just(m), st.integers(m, 8))),
+           st.data())
+    def test_matches_highs(self, shape, data):
+        # zero, duplicated (possibly rescaled) columns and a row that repeats
+        # a combination of the others; y = X b0 with b0 sparse
+        from scipy.optimize import linprog
+        m, d = shape
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        X = rng.standard_normal((m, d))
+        for j in range(d):
+            defect = data.draw(st.sampled_from(["none", "zero", "duplicate"]))
+            if defect == "zero":
+                X[:, j] = 0.0
+            elif defect == "duplicate":
+                factor = data.draw(st.sampled_from([1.0, -2.0]))
+                X[:, j] = factor * X[:, data.draw(st.integers(0, d - 1))]
+        if m > 1 and data.draw(st.booleans(), label="dependent_row"):
+            X[-1] = rng.standard_normal(m - 1) @ X[:-1]
+        b0 = rng.standard_normal(d) * (rng.random(d) < 0.5)
+        y = X @ b0
+        b = min_l1_interpolant(X, y)
+        ref = linprog(np.ones(2 * d), A_eq=np.hstack([X, -X]), b_eq=y, bounds=(0, None),
+                      method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                               "dual_feasibility_tolerance": 1e-10})
+        assert ref.success
+        ref_b = ref.x[:d] - ref.x[d:]
+        opt = np.abs(ref_b).sum()
+        scale = 1.0 + np.abs(X).sum() * np.abs(b0).sum()
+        assert abs(np.abs(b).sum() - opt) <= 1e-9 * max(opt, 1.0)
+        assert np.linalg.norm(X @ b - y) <= 1e-10 * scale
+        # the optimum is unique when every vertex within 1e-6 of it is one point
+        near = [v for v in _basic_solutions(X, y) if np.abs(v).sum() <= opt + 1e-6 * max(opt, 1.0)]
+        if all(np.max(np.abs(v - near[0])) <= 1e-8 for v in near):
+            assert np.max(np.abs(b - ref_b)) <= 1e-8
+
+    @pytest.mark.parametrize("X, y, error", [
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2), ParameterError),
+        (np.eye(2), np.array([np.inf, 1.0]), ParameterError),
+        (np.eye(2), np.ones(3), DimensionError),
+        (np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 0.0]), ConsistencyError),
+        (np.zeros((2, 3)), np.array([0.0, 1e-300]), ConsistencyError),
+    ], ids=["nan_X", "inf_y", "short_y", "y_outside_range", "zero_X_nonzero_y"])
+    def test_typed_refusals(self, X, y, error):
+        with pytest.raises(error):
+            min_l1_interpolant(X, y)
+
+    def test_budget_refused_before_any_solve(self, monkeypatch):
+        # rank 10 with d = 40: C(40, 10) supports, far over the budget
+        X = np.random.default_rng(3).standard_normal((10, 40))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a support was solved")
+
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        with pytest.raises(EnumerationBudgetError):
+            min_l1_interpolant(X, X[:, 0])
+
+    def test_zero_design_gives_zero(self):
+        out = min_l1_interpolant(np.zeros((2, 3)), np.zeros(2))
+        assert np.array_equal(out, np.zeros(3))
 
 
 class TestCorollary1:
