@@ -398,12 +398,11 @@ def min_l1_interpolant(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     Any such support extends to a set of r = rank(X) independent columns,
     and the solution of X_S b_S = y on that set is the same b.  So the least
     ||b||_1 over the size-r supports S with rank(X_S) = r is the LP optimum.
-    When r is below the number of rows, the solves work in the basis of
-    range(X) that X's SVD gives, where X_S is r x r; rank is judged by
-    ``matrix_rank``'s rule.  Supports come from ``support_chunks`` in
-    lexicographic order, and ``argmin`` within a chunk and a strict ``<``
-    across chunks keep the first of equal norms, so ties go to the
-    lexicographically first support.
+    Each support is solved by ``np.linalg.lstsq``, whose rank (``matrix_rank``'s
+    rule) drops the dependent ones.  Supports come from ``support_chunks`` in
+    lexicographic order and a strict ``<`` keeps the first of equal norms, so
+    ties go to the lexicographically first support.  The cost is C(d, r)
+    small least-squares solves, which is not polynomial in d.
 
     Raises ParameterError on a NaN or inf, DimensionError when y does not
     match the rows of X, ConsistencyError when X b = y has no solution (the
@@ -417,32 +416,20 @@ def min_l1_interpolant(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     require_rows(X, y=y)
     require_finite(X=X, y=y)
     d = X.shape[1]
-    u, sv, vt = np.linalg.svd(X, full_matrices=False)
-    r = int(np.count_nonzero(sv > sv[0] * max(X.shape) * np.finfo(float).eps))
-    c = u[:, :r].T @ y  # y in a basis of range(X)
-    b_ls = vt[:r].T @ (c / sv[:r])
+    b_ls, _, r, sv = np.linalg.lstsq(X, y, rcond=None)
     # max norms, which do not underflow where a sum of squares would
     if np.abs(X @ b_ls - y).max() > 1e-9 * (sv[0] * np.abs(b_ls).max() + np.abs(y).max()):
         raise ConsistencyError("X b = y has no solution: y lies outside the range of X")
     beta, best = np.zeros(d), math.inf
     if r == 0:
         return beta
-    if r < X.shape[0]:  # X and y in that basis; with full row rank, as they are
-        X, y = sv[:r, None] * vt[:r], c
-    for supports in support_chunks(d, r, per_support=r * r):
-        blocks = np.moveaxis(X[:, supports], 1, 0)
-        independent = np.linalg.matrix_rank(blocks) == r
-        if not independent.any():
-            continue
-        blocks, supports = blocks[independent], supports[independent]
-        # y as a stack of one-column matrices, which every numpy >= 1.24 solves alike
-        sols = np.linalg.solve(blocks, np.broadcast_to(y[:, None], (len(blocks), r, 1)))[..., 0]
-        norms = np.abs(sols).sum(axis=1)
-        i = int(np.argmin(norms))
-        if norms[i] < best:
-            best = norms[i]
-            beta = np.zeros(d)
-            beta[supports[i]] = sols[i]
+    for supports in support_chunks(d, r):
+        for S in supports:
+            sol, _, rank, _ = np.linalg.lstsq(X[:, S], y, rcond=None)
+            norm = np.abs(sol).sum()
+            if rank == r and norm < best:
+                best, beta = norm, np.zeros(d)
+                beta[S] = sol
     return beta
 
 
