@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (ConsistencyError, DimensionError, ParameterError, require_finite,
                      require_scalars)
-from .linmodel import BallSpec, DesignSpec
+from .linmodel import BallSpec, DesignSpec, _times_root
 from .supports import support_chunks
 
 __all__ = [
@@ -358,13 +358,16 @@ class Prop1Report:
     upper_margin_min: float
 
 
-def _margins(X: np.ndarray, root: np.ndarray, rho: float,
+def _margins(X: np.ndarray, root: Optional[np.ndarray], rho: float,
              V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Curvature margins (see ``prop1_margins``) at each row of V; rho = max_j Sigma_jj."""
+    """Curvature margins (see ``prop1_margins``) at each row of V; rho = max_j Sigma_jj
+    and root = Sigma^{1/2} (None for the identity).  Every norm reduces a C-order
+    (d or n) x m product over its rows, so a diagonal root's scaled rows give the
+    gemm's bits."""
     n, d = X.shape
     coef = 6.0 * math.sqrt(rho * math.log(d) / n)
     xv = np.linalg.norm(X @ V.T, axis=0) / math.sqrt(n)
-    sv = np.linalg.norm(root @ V.T, axis=0)
+    sv = np.linalg.norm(_times_root(V.T, root, left=True), axis=0)
     l1 = np.abs(V).sum(axis=1)
     return xv - (0.5 * sv - coef * l1), (3.0 * sv + coef * l1) - xv
 
@@ -392,19 +395,21 @@ def verify_prop1(
     """Monte Carlo check of the curvature bounds for N(0, Sigma) row designs.
 
     Draws fresh designs and random directions (dense Gaussian, sparse, and
-    coordinate vectors) and counts violations of either bound.
+    coordinate vectors) and counts violations of either bound.  A standard
+    spec applies no root, and a diagonal Sigma's root scales columns and rows
+    in place of the products (``linmodel._times_root``), with the dense
+    products' bits.
     """
     require_scalars("count", n_draws=n_draws, n_directions=n_directions)
     require_scalars("index", seed=seed)
-    n, d = spec.n, spec.d
-    root = np.eye(d) if spec.root is None else spec.root
-    rho = 1.0 if spec.root is None else float(np.max(np.diag(spec.sigma_cov)))
+    n, d, root = spec.n, spec.d, spec.root
+    rho = 1.0 if root is None else float(np.max(np.diag(spec.sigma_cov)))
 
     rng = np.random.default_rng(seed)
     lower_viol = upper_viol = checks = 0
     lower_margin = upper_margin = math.inf
     for _ in range(n_draws):
-        X = rng.standard_normal((n, d)) @ root
+        X = _times_root(rng.standard_normal((n, d)), root)
         dirs = _direction_batch(rng, d, n_directions)
         low, up = _margins(X, root, rho, dirs)
         lower_viol += int(np.count_nonzero(low < -1e-12))

@@ -384,25 +384,32 @@ def _bound_factor(gram, corr, yy):
     return order, factor, margin
 
 
-def _prefix_bounds(factor, prefixes) -> np.ndarray:
+def _bound_tails(factor) -> np.ndarray:
+    """tails[0][u, a] and tails[1][u, a]: the sums over c >= a of F_uc F_yc and
+    of F_uc^2 for the reversed factor F of ``_bound_factor`` (y is F's last row);
+    they depend on no prefix, so a call computes them once."""
+    d = factor.shape[0] - 1
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.cumsum(np.stack([factor * factor[d], factor * factor])[:, :, ::-1],
+                         axis=2)[:, :, ::-1]
+
+
+def _prefix_bounds(factor, tails, prefixes) -> np.ndarray:
     """LB(P) = RSS(P + every column after max P) for each row P of
     ``prefixes`` (positions in the reordered columns), from the reversed
     factor F of ``_bound_factor``.  The columns after max P, then max P, lead
     the reversed order, so F's rows u, v for the other columns of P and for
     y give the Gram C_uv = sum of F_uc F_vc over F's columns c after max P's
     of their residuals on those leading columns; eliminating P's columns
-    from C leaves LB(P).  Tail sums over c give C's diagonal and y column
-    without a per-prefix product.  A NaN bound (a zero pivot of C) is never
-    pruned."""
+    from C leaves LB(P).  The tail sums over c (``_bound_tails``) give C's
+    diagonal and y column without a per-prefix product.  A NaN bound (a zero
+    pivot of C) is never pruned."""
     d = factor.shape[0] - 1
     m, k = prefixes.shape
     at = d - 1 - prefixes  # positions in the reversed factor; max P is at[:, -1]
     after = at[:, -1] + 1  # F's first column after max P's
     C = np.empty((k, k, m))  # P's columns but max P, then y
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # tails[0][u, a] and tails[1][u, a]: sums over c >= a of F_uc F_yc and of F_uc^2
-        tails = np.cumsum(np.stack([factor * factor[d], factor * factor])[:, :, ::-1],
-                          axis=2)[:, :, ::-1]
         C[-1, -1] = tails[0, d, after]
         for i in range(k - 1):
             C[i, i] = tails[1, at[:, i], after]
@@ -480,6 +487,7 @@ def _best_prefix_pair(X, y, gram, corr, yy, s, floor) -> tuple:
         order = np.arange(d)
     else:
         order, factor, margin = bound
+        tails = _bound_tails(factor)
         gram, corr = gram[np.ix_(order, order)], corr[order]
     # the pairs that follow some prefix: those from (k, k + 1) on, the first
     # after the prefix (0, ..., k - 1); first[b] is where the pairs of a prefix
@@ -574,7 +582,7 @@ def _best_prefix_pair(X, y, gram, corr, yy, s, floor) -> tuple:
                 score(prefixes[:1])
                 cutoff = best_obj + margin
                 prefixes = prefixes[1:]
-            prefixes = prefixes[~(_prefix_bounds(factor, prefixes) > cutoff)]
+            prefixes = prefixes[~(_prefix_bounds(factor, tails, prefixes) > cutoff)]
         if len(prefixes):
             score(prefixes)
     return best_support, n_lstsq, n_scored

@@ -262,6 +262,12 @@ def symmetric_sqrt(sigma_cov: np.ndarray) -> np.ndarray:
     Raises CovarianceError unless sigma_cov is a finite nonempty square matrix,
     symmetric to atol 1e-10 and PSD up to -1e-10 max(lambda_max, 1).
     Eigenvalues below 1e-12 (relative to the largest) are clamped to zero.
+    A diagonal sigma_cov (every off-diagonal entry exactly 0) is factored with
+    no eigendecomposition: its eigenvalues are its diagonal, under the same
+    rules, and the root is diag(sqrt(clamped diagonal)).  Those are the bits
+    ``eigh``'s signed unit eigenvectors give while LAPACK leaves the matrix
+    unscaled (largest |entry| within about 1e-146 .. 1e146); outside that
+    range its rescaling can move the last bit, and the diagonal path cannot.
     """
     sigma_cov = np.asarray(sigma_cov, dtype=float)
     if sigma_cov.ndim != 2 or not 1 <= sigma_cov.shape[0] == sigma_cov.shape[1]:
@@ -270,10 +276,16 @@ def symmetric_sqrt(sigma_cov: np.ndarray) -> np.ndarray:
         raise CovarianceError("covariance has non-finite entries")
     if not np.allclose(sigma_cov, sigma_cov.T, atol=1e-10):
         raise CovarianceError("covariance is not symmetric")
-    evals, evecs = np.linalg.eigh(0.5 * (sigma_cov + sigma_cov.T))
+    diagonal = np.diagonal(sigma_cov)
+    if np.count_nonzero(sigma_cov) == np.count_nonzero(diagonal):
+        evals, evecs = diagonal, None
+    else:
+        evals, evecs = np.linalg.eigh(0.5 * (sigma_cov + sigma_cov.T))
     if evals.min() < -1e-10 * max(evals.max(), 1.0):
         raise CovarianceError(f"covariance has negative eigenvalue {evals.min():g}")
     evals = np.where(evals > 1e-12 * max(evals.max(), 0.0), evals, 0.0)
+    if evecs is None:
+        return np.diag(np.sqrt(evals))
     return (evecs * np.sqrt(evals)) @ evecs.T
 
 
@@ -289,9 +301,29 @@ def generate_design(spec: DesignSpec) -> np.ndarray:
 
 def _gaussian_rows(n: int, d: int, seed: int, root: Optional[np.ndarray]) -> np.ndarray:
     """n rows i.i.d. N(0, root @ root): standard-normal W from the design stream of
-    ``seed``, times the root (None for the identity)."""
+    ``seed``, times the root (None for the identity); a diagonal root scales W's
+    columns (``_times_root``)."""
     w = split_streams(seed)[0].standard_normal((n, d))
-    return w if root is None else w @ root
+    return w if root is None else _times_root(w, root)
+
+
+def _times_root(A: np.ndarray, root: Optional[np.ndarray], left: bool = False) -> np.ndarray:
+    """A @ root, or root @ A when ``left``, as a C-order array (None is the identity).
+
+    A diagonal root (off-diagonal entries exactly 0) scales A's columns, or
+    its rows when ``left``, by the diagonal in place of the gemm, with the
+    gemm's bits: each entry is one rounded product either way, and + 0.0
+    turns the -0.0 of a negative entry times a zero scale into the gemm's
+    +0.0.  Any other root takes the gemm.
+    """
+    if root is None:
+        return np.ascontiguousarray(A)
+    scale = np.diagonal(root)
+    if np.count_nonzero(root) != np.count_nonzero(scale):
+        return root @ A if left else A @ root
+    out = np.multiply(A, scale[:, None] if left else scale, order="C")
+    out += 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------

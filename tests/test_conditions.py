@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import null_space
 
+from lqminimax import conditions
 from lqminimax.conditions import (
     Prop1Report,
     REParams,
@@ -263,8 +264,61 @@ class TestProp1:
         generate_design(spec)
         verify_prop1(spec, n_draws=2, n_directions=20, seed=1)
         assert calls == ["eigh"]
-        verify_prop1(DesignSpec("standard_gaussian", 20, 3), n_draws=2, n_directions=20)
-        assert calls == ["eigh"]
+        # a diagonal Sigma and a standard spec need no eigendecomposition at all
+        calls.clear()
+        for cov in (np.diag([4.0, 1.0, 1.0]), np.eye(3)):
+            spec = DesignSpec("correlated_gaussian", 20, 3, seed=0, sigma_cov=cov)
+            generate_design(spec)
+            verify_prop1(spec, n_draws=2, n_directions=20, seed=1)
+            prop1_margins(generate_design(spec), cov, np.ones(3))
+        spec = DesignSpec("standard_gaussian", 20, 3)
+        generate_design(spec)
+        verify_prop1(spec, n_draws=2, n_directions=20)
+        assert calls == []
+
+    # verify_prop1 at the benchmark's criterion-8 units: 200 x 400, one draw,
+    # 1000 directions, seeds _child_seed(20260808, 3 or 4, k) for k = 0, ..., 4
+    @pytest.mark.parametrize("spiked, seed, report", [
+        (False, 87895167702370099, (0.0034496644479609408, 0.00655681330372593)),
+        (False, 4969433597590068050, (0.0037133881278902624, 0.007334797160920293)),
+        (False, 12114305043075346824, (0.014380465764080828, 0.03212680528119141)),
+        (False, 11719093265645176237, (0.0026793613908354, 0.005163915803551858)),
+        (False, 3788456110841998890, (0.032986968822543636, 0.06859346113760748)),
+        (True, 11714627172431013258, (0.03249198806744216, 0.05345065602067536)),
+        (True, 12050278066349610471, (0.1319508392670002, 0.20882237583326535)),
+        (True, 2815812188035321450, (0.016043977830784997, 0.024298648128875847)),
+        (True, 1247753125888187750, (0.01818315558011823, 0.029279877843747262)),
+        (True, 7516752507793517538, (0.03556661178780021, 0.054475324776317106)),
+    ], ids=[f"{kind}-{k}" for kind in ("identity", "spiked") for k in range(5)])
+    def test_benchmark_units_pinned(self, monkeypatch, spiked, seed, report):
+        # the report bit for bit, and the whole margin arrays against the dense
+        # path (eigh root, plain matmuls) run here: the digest of the benchmark
+        # sees only the violation counts, and the least margins fall on sparse
+        # directions, where no summation order shows
+        cov = np.diag([4.0] + [1.0] * 399) if spiked else np.eye(400)
+        spec = DesignSpec("correlated_gaussian", n=200, d=400, seed=seed, sigma_cov=cov)
+        seen, real = [], conditions._margins
+
+        def spy(*args):
+            seen.append(real(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(conditions, "_margins", spy)
+        assert verify_prop1(spec, n_draws=1, n_directions=1000, seed=seed) == Prop1Report(
+            lower_violations=0, upper_violations=0, n_checks=1000,
+            lower_margin_min=report[0], upper_margin_min=report[1])
+        evals, evecs = np.linalg.eigh(cov)
+        root = (evecs * np.sqrt(evals)) @ evecs.T
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((200, 400)) @ root
+        V = conditions._direction_batch(rng, 400, 1000)
+        coef = 6.0 * math.sqrt(float(np.max(cov)) * math.log(400) / 200)
+        xv = np.linalg.norm(X @ V.T, axis=0) / math.sqrt(200)
+        sv = np.linalg.norm(root @ V.T, axis=0)
+        l1 = np.abs(V).sum(axis=1)
+        (low, up), = seen
+        assert low.tobytes() == (xv - (0.5 * sv - coef * l1)).tobytes()
+        assert up.tobytes() == ((3.0 * sv + coef * l1) - xv).tobytes()
 
     @pytest.mark.parametrize("cov, message", [
         (np.eye(3), r"shape \(3, 3\), expected \(2, 2\)"),

@@ -365,6 +365,34 @@ class TestL0:
         assert (res.support, res.objective) == (full.support, full.objective)
         assert res.info["scored_supports"] <= res.info["n_supports"]
 
+    def test_bound_tails_once_per_call(self, monkeypatch):
+        # the tail sums of the bound factor depend on no prefix: a solve whose
+        # prefixes span several chunks computes them once, and keeps its
+        # support and objective
+        rng = np.random.default_rng(43)
+        X = rng.standard_normal((60, 24))
+        y = 0.3 * X[:, [2, 9, 15, 21]].sum(axis=1) + rng.standard_normal(60)
+        whole = l0_least_squares(X, y, s=4)
+        calls = {"_bound_tails": 0, "_prefix_bounds": 0}
+
+        def counted(name):
+            real = getattr(estimators, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(estimators, name, counted(name))
+        monkeypatch.setattr(supports, "CHUNK_ENTRIES", 5 * 24 * 40)  # at most 40 prefixes a chunk
+        chunks = len(list(supports.support_chunks(22, 2, per_support=5 * 24)))
+        res = l0_least_squares(X, y, s=4)
+        assert chunks > 1
+        assert calls == {"_bound_tails": 1, "_prefix_bounds": chunks}
+        assert (res.support, res.objective, res.info) == (whole.support, whole.objective,
+                                                          whole.info)
+
     @pytest.mark.parametrize("block", [4096, 1])
     @pytest.mark.parametrize("mix, coef, ties", [
         (np.eye(8).tolist(), [2, 0, 2, 0, 3, 2, 1, 0], [(0, 2, 4), (0, 4, 5), (2, 4, 5)]),

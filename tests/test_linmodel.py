@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lqminimax import conditions
 from lqminimax.errors import (
     CovarianceError,
     DimensionError,
@@ -13,7 +15,9 @@ from lqminimax.errors import (
 from lqminimax.linmodel import (
     BallSpec,
     DesignSpec,
+    InstanceSpec,
     LossSpec,
+    derive_seed,
     generate_design,
     generate_sparse_beta,
     instance_from_json,
@@ -161,6 +165,83 @@ class TestGenerateDesign:
     def test_reproducible(self):
         spec = DesignSpec("standard_gaussian", n=20, d=7, seed=99)
         assert np.array_equal(generate_design(spec), generate_design(spec))
+
+
+def _dense_root(cov):
+    """symmetric_sqrt by eigendecomposition alone, for any covariance."""
+    evals, evecs = np.linalg.eigh(0.5 * (cov + cov.T))
+    evals = np.where(evals > 1e-12 * max(evals.max(), 0.0), evals, 0.0)
+    return (evecs * np.sqrt(evals)) @ evecs.T
+
+
+def _dense_margins(X, root, rho, V):
+    """conditions._margins with plain matmuls."""
+    n, d = X.shape
+    coef = 6.0 * math.sqrt(rho * math.log(d) / n)
+    xv = np.linalg.norm(X @ V.T, axis=0) / math.sqrt(n)
+    sv = np.linalg.norm(root @ V.T, axis=0)
+    l1 = np.abs(V).sum(axis=1)
+    return xv - (0.5 * sv - coef * l1), (3.0 * sv + coef * l1) - xv
+
+
+def _same_bits(a, b):
+    # bytes, not values: +0.0 and -0.0 differ
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# one diagonal entry: ordinary, exactly zero (either sign), below the 1e-12
+# clamp of every largest entry drawn, or negative inside the -1e-10 PSD slack;
+# every nonzero magnitude stays inside the range LAPACK's eigh leaves unscaled
+_DIAGONAL_ENTRY = st.one_of(st.floats(1e-3, 1e3), st.sampled_from([0.0, -0.0]),
+                            st.floats(1e-30, 1e-16), st.floats(-1e-11, -1e-30))
+
+
+class TestDiagonalRoot:
+    """A diagonal Sigma is factored and applied with no dense algebra, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_DIAGONAL_ENTRY, min_size=1, max_size=64), st.integers(1, 12),
+           st.integers(0, 2**32 - 1))
+    def test_diagonal_path_matches_dense_path(self, entries, n, seed):
+        d = len(entries)
+        cov = np.diag(entries)
+        ref = _dense_root(cov)
+        assert _same_bits(symmetric_sqrt(cov), ref)
+        spec = DesignSpec("correlated_gaussian", n=n, d=d, seed=seed, sigma_cov=cov)
+        X = generate_design(spec)
+        assert _same_bits(X, split_streams(seed)[0].standard_normal((n, d)) @ ref)
+        inst = InstanceSpec(ball=BallSpec(0.0, 1), sigma=1.0, design_kind="correlated_gaussian",
+                            sigma_cov=cov.tolist()).draw(n, d, seed)
+        W = split_streams(derive_seed(seed, 1))[0].standard_normal((n, d))
+        assert _same_bits(inst.X, W @ ref)
+        # the whole margin arrays, over dense, sparse and signed coordinate directions
+        rng = np.random.default_rng(seed)
+        V = rng.standard_normal((24, d))
+        V[8:16] *= rng.random((8, d)) < 0.2
+        V[16:] = np.eye(d)[rng.integers(0, d, 8)] * rng.choice([-1.0, 1.0], (8, 1))
+        for got, want in zip(conditions._margins(X, spec.root, 1.0, V),
+                             _dense_margins(X, ref, 1.0, V)):
+            assert _same_bits(got, want)
+        for got, want in zip(conditions._margins(X, None, 1.0, V),
+                             _dense_margins(X, np.eye(d), 1.0, V)):
+            assert _same_bits(got, want)
+
+    def test_tiny_off_diagonal_entry_takes_eigh(self, monkeypatch):
+        # one off-diagonal 1e-300 is not a diagonal Sigma, however small
+        calls = []
+        real = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        cov = np.diag([2.0, 1.0, 3.0])
+        cov[0, 1] = 1e-300
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        spec = DesignSpec("correlated_gaussian", n=6, d=3, seed=4, sigma_cov=cov)
+        assert len(calls) == 1
+        W = split_streams(4)[0].standard_normal((6, 3))
+        assert _same_bits(generate_design(spec), W @ _dense_root(cov))
 
 
 class TestGenerateSparseBeta:
