@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ParameterError, require_finite, require_rows, require_scalars
+from .errors import ParameterError, as_design, require_scalars
 from .supports import support_chunks
 
 __all__ = [
@@ -250,12 +250,9 @@ def sup_correlation_exact(X: np.ndarray, w: np.ndarray, s: int, r: float) -> flo
     (r/n) sqrt(sum of the 2s largest (X_j^T w)^2), which is the support
     enumeration in closed form.
     """
-    X = np.asarray(X, dtype=float)
-    w = np.asarray(w, dtype=float)
-    require_rows(X, w=w)
+    X, w = as_design(X, w=w)
     require_scalars("count", s=s)
     require_scalars("nonnegative", r=r)
-    require_finite(X=X, w=w)
     z_sq = (X.T @ w) ** 2
     k = min(2 * s, X.shape[1])
     top = np.sort(z_sq)[-k:]
@@ -269,13 +266,10 @@ def sup_correlation_pred_exact(X: np.ndarray, w: np.ndarray, s: int, r: float) -
     projection on the column span of X_S; the result maximizes over all
     supports (rank judged at 1e-12 relative).
     """
-    X = np.asarray(X, dtype=float)
-    w = np.asarray(w, dtype=float)
-    require_rows(X, w=w)
+    X, w = as_design(X, w=w)
     n, d = X.shape
     require_scalars("count", s=s)
     require_scalars("nonnegative", r=r)
-    require_finite(X=X, w=w)
     level = min(2 * s, d)
     best = 0.0
     for supports in support_chunks(d, level, per_support=n * level):

@@ -19,8 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (ConsistencyError, DimensionError, ParameterError, require_finite,
-                     require_scalars)
+from .errors import ConsistencyError, ParameterError, as_design, require_scalars
 from .linmodel import BallSpec, DesignSpec, _times_root
 from .supports import support_chunks
 
@@ -57,10 +56,7 @@ _TAIL_RATIO_GRID = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 
 def column_norm_constant(X: np.ndarray) -> float:
     """max_j ||X_j||_2 / sqrt(n)."""
-    X = np.asarray(X, dtype=float)
-    if X.size == 0:
-        raise DimensionError("empty design")
-    require_finite(X=X)
+    X = as_design(X)
     return float(np.linalg.norm(X, axis=0).max() / np.sqrt(X.shape[0]))
 
 
@@ -100,23 +96,17 @@ def sparse_spectrum(X: np.ndarray, s: int) -> tuple[float, float]:
     2s-sparse theta.  Exact; raises when C(d, 2s) exceeds the budget.
     """
     require_scalars("count", s=s)
-    X = np.asarray(X, dtype=float)
-    require_finite(X=X)
-    kappa_l, kappa_u, _ = _sparse_scan(X, 2 * s)
-    return kappa_l, kappa_u
+    return _sparse_scan(as_design(X), 2 * s)[:2]
 
 
 def sparse_min_singular(X: np.ndarray, level: int) -> float:
     """min over supports |S| = level of sigma_min(X_S) / sqrt(n)."""
     require_scalars("count", level=level)
-    X = np.asarray(X, dtype=float)
-    require_finite(X=X)
+    X = as_design(X)
     n, d = X.shape
     if level > d:
         raise ParameterError(f"need 1 <= level <= d, got {level}")
-    if level > n:
-        return 0.0
-    return _sparse_scan(X, level)[0]
+    return 0.0 if level > n else _sparse_scan(X, level)[0]
 
 
 def kernel_trivial_zero(X: np.ndarray, s: int) -> bool:
@@ -126,8 +116,7 @@ def kernel_trivial_zero(X: np.ndarray, s: int) -> bool:
     submatrix.  2s > n forces rank deficiency, hence False.
     """
     require_scalars("count", s=s)
-    X = np.asarray(X, dtype=float)
-    require_finite(X=X)
+    X = as_design(X)
     n, d = X.shape
     if 2 * s > d:
         raise ParameterError(f"need 2s <= d, got s={s}, d={d}")
@@ -228,8 +217,7 @@ def re_constant(
     if mode not in ("sampled", "exact_tiny"):
         raise ParameterError(f"unknown mode {mode!r}")
     require_scalars("index", n_samples=n_samples, seed=seed)
-    X = np.asarray(X, dtype=float)
-    require_finite(X=X)
+    X = as_design(X)
     n, d = X.shape
     if params.s >= d:
         # the cone is all of R^d: no tail coordinates exist, and for n < d
@@ -331,8 +319,7 @@ def kernel_diameter(
     if not p >= 1.0:
         raise ParameterError(f"kernel_diameter needs p >= 1, got {p}")
     require_scalars("index", n_samples=n_samples, seed=seed)
-    X = np.asarray(X, dtype=float)
-    require_finite(X=X)
+    X = as_design(X)
     if ball.q == 0.0:
         return 0.0 if kernel_trivial_zero(X, ball.s) else math.inf
     V = _kernel_directions(X, n_samples, seed)
@@ -361,11 +348,10 @@ class Prop1Report:
 def _margins(X: np.ndarray, root: Optional[np.ndarray], rho: float,
              V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Curvature margins (see ``prop1_margins``) at each row of V; rho = max_j Sigma_jj
-    and root = Sigma^{1/2} (None for the identity).  Every norm reduces a C-order
-    (d or n) x m product over its rows, so a diagonal root's scaled rows give the
-    gemm's bits."""
+    (0 if negative) and root = Sigma^{1/2} (None for the identity).  Every norm reduces
+    a C-order (d or n) x m product over its rows, so a diagonal root gives the gemm's bits."""
     n, d = X.shape
-    coef = 6.0 * math.sqrt(rho * math.log(d) / n)
+    coef = 6.0 * math.sqrt(max(rho, 0.0) * math.log(d) / n)
     xv = np.linalg.norm(X @ V.T, axis=0) / math.sqrt(n)
     sv = np.linalg.norm(_times_root(V.T, root, left=True), axis=0)
     l1 = np.abs(V).sum(axis=1)
@@ -379,8 +365,8 @@ def prop1_margins(X: np.ndarray, sigma_cov: np.ndarray, v: np.ndarray) -> tuple[
     upper margin: (3||S^{1/2}v|| + 6 sqrt(rho log d / n) ||v||_1) - ||Xv||/sqrt(n).
     Nonnegative margins mean the bounds hold.
     """
-    X, sigma_cov, v = (np.asarray(a, dtype=float) for a in (X, sigma_cov, v))
-    require_finite(X=X, v=v)
+    X = as_design(X)
+    v = as_design(X.T, v=v)[1]  # X^T has d rows, so v must have shape (d,)
     spec = DesignSpec("correlated_gaussian", *X.shape, sigma_cov=sigma_cov)
     low, up = _margins(X, spec.root, float(np.max(np.diag(sigma_cov))), v[None])
     return float(low[0]), float(up[0])
@@ -427,12 +413,12 @@ def verify_prop1(
 
 
 def _direction_batch(rng: np.random.Generator, d: int, count: int) -> np.ndarray:
-    """Half dense Gaussian, a quarter sparse, a quarter coordinate directions."""
+    """Half dense Gaussian, a quarter sparse (1-3 entries, at most d), a quarter coordinate."""
     n_dense = count - count // 4 - count // 4
     dense = rng.standard_normal((n_dense, d))
     sparse = np.zeros((count // 4, d))
     for row in sparse:
-        support = rng.choice(d, size=rng.integers(1, 4), replace=False)
+        support = rng.choice(d, size=min(rng.integers(1, 4), d), replace=False)
         row[support] = rng.standard_normal(len(support))
     coords = np.zeros((count // 4, d))
     cols = rng.integers(0, d, size=count // 4)
@@ -479,8 +465,7 @@ def diagnose(
     """Measure every design constant at sparsity level s (spectrum at 2s)."""
     params = REParams(s=s, c0=c0)  # checks s and c0 before any scan
     require_scalars("index", n_samples=n_samples, seed=seed)
-    X = np.asarray(X, dtype=float)
-    require_finite(X=X)
+    X = as_design(X)
     if ball is None:
         ball = BallSpec(q=0.0, radius=float(s))
     # one scan at level 2s gives the spectrum, the kernel test, and the

@@ -99,3 +99,13 @@ def require_rows(X: np.ndarray, **vectors) -> None:
     for name, v in vectors.items():
         if v.shape != (X.shape[0],):
             raise DimensionError(f"{name} has shape {v.shape}, expected ({X.shape[0]},)")
+
+
+def as_design(X, **vectors):
+    """X, or (X, *vectors) if named, as float arrays that pass ``require_rows``, then
+    ``require_finite``: the one array check of a design and its length-n vectors."""
+    X = np.asarray(X, dtype=float)
+    vectors = {name: np.asarray(v, dtype=float) for name, v in vectors.items()}
+    require_rows(X, **vectors)
+    require_finite(X=X, **vectors)
+    return (X, *vectors.values()) if vectors else X

@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .ballgeom import ball_contains, project_l1, project_lq_heuristic
-from .errors import ParameterError, require_finite, require_rows, require_scalars
+from .errors import ParameterError, as_design, require_finite, require_rows, require_scalars
 from .linmodel import BallSpec, ProblemInstance
 from .supports import check_budget, support_chunks
 
@@ -50,15 +50,10 @@ _PARAMETER_RULES = {"s": "count", "radius": "positive", "lam": "nonnegative",
 
 
 def _check_inputs(X, y, **scalars) -> tuple:
-    """(X, y) as float arrays, once each named parameter's rule, then X and y's
-    shapes and finiteness, are checked."""
+    """``as_design(X, y=y)`` once each named parameter's rule is checked."""
     for name, value in scalars.items():
         require_scalars(_PARAMETER_RULES[name], **{name: value})
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    require_rows(X, y=y)
-    require_finite(X=X, y=y)
-    return X, y
+    return as_design(X, y=y)
 
 
 def _check_s_fits(s: int, d: int, at: str = "") -> None:
@@ -232,9 +227,11 @@ def l0_least_squares(X: np.ndarray, y: np.ndarray, s: int) -> EstimateResult:
     1e-3x) tie only mathematically, and round-off orders those supports.
     The winner is refitted by lstsq with a 1e-12 relative cutoff, and by
     ``_unit_lstsq`` if that cutoff drops a direction: the scores, like
-    ``_unit_lstsq``, do not depend on column scale.  Non-finite entries in
-    X or y raise ParameterError; an X that is not 2-D or a y not of shape
-    (n,) raises DimensionError.
+    ``_unit_lstsq``, do not depend on column scale.  G, r and y^T y are
+    divided by powers of two near the column norms and ||y||, exactly, so the
+    scores stay in range wherever X^T X does (entries within about 1e+-154).
+    Non-finite entries raise ParameterError (X's through G, saving the pass of
+    ``errors.as_design``); an X not 2-D or a y not of shape (n,) DimensionError.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -255,11 +252,20 @@ def l0_least_squares(X: np.ndarray, y: np.ndarray, s: int) -> EstimateResult:
     _tie_duplicates(X, gram, corr)
     yy = float(y @ y)
     floor = -1e-8 * max(yy, 1.0)  # a residual below it is cancellation, not a fit
+    col = np.frexp(np.diagonal(gram))[1] // 2  # 2^col_j ~ ||X_j|| and 2^y_exp ~ ||y||
+    y_exp = int(np.frexp(yy)[1]) // 2
+    np.ldexp(gram, -(col[:, None] + col), out=gram)
+    np.ldexp(corr, -(col + y_exp), out=corr)
+    yy, floor = math.ldexp(yy, -2 * y_exp), math.ldexp(floor, -2 * y_exp)
+
+    def rss(S):  # the lstsq residual of support S on X and y, in those units
+        return math.ldexp(_unit_lstsq(X[:, S], y)[1], -2 * y_exp)
+
     if s == 1:
-        best_support, n_lstsq = _best_column(X, y, gram, corr, yy, floor)
+        best_support, n_lstsq = _best_column(rss, gram, corr, yy, floor)
         n_scored = d
     else:
-        best_support, n_lstsq, n_scored = _best_prefix_pair(X, y, gram, corr, yy, s, floor)
+        best_support, n_lstsq, n_scored = _best_prefix_pair(rss, gram, corr, yy, s, floor)
 
     X_S = X[:, best_support]
     b, _, rank, _ = np.linalg.lstsq(X_S, y, rcond=1e-12)
@@ -339,16 +345,16 @@ def _prefix_fields(gram, corr, yy, prefixes, A) -> None:
         np.subtract((yy - np.einsum("km,km->m", z, z))[:, None], V, out=V)
 
 
-def _best_column(X, y, gram, corr, yy, floor) -> tuple:
+def _best_column(rss, gram, corr, yy, floor) -> tuple:
     """(support, redone) for s = 1: the column of least residual, from the
-    fields of the empty prefix, after redoing by lstsq each column whose D is
-    NaN or whose residual falls below ``floor``."""
+    fields of the empty prefix, after redoing by ``rss`` (lstsq) each column
+    whose D is NaN or whose residual falls below ``floor``."""
     A = np.empty((3, 1, gram.shape[0]))
     _prefix_fields(gram, corr, yy, np.zeros((1, 0), dtype=np.intp), A)
     resid = A[_V, 0]
     redo = np.flatnonzero(~(resid >= floor))
     for j in redo:
-        resid[j] = _unit_lstsq(X[:, [j]], y)[1]
+        resid[j] = rss([j])
     return np.argmin(np.maximum(resid, 0.0, out=resid), keepdims=True), len(redo)
 
 
@@ -424,7 +430,7 @@ def _prefix_bounds(factor, tails, prefixes) -> np.ndarray:
     return C[-1, -1]
 
 
-def _best_prefix_pair(X, y, gram, corr, yy, s, floor) -> tuple:
+def _best_prefix_pair(rss, gram, corr, yy, s, floor) -> tuple:
     """(support, redone, scored) for s >= 2: the support P + (c, j) of least
     residual, with P a prefix of size s - 2 from ``support_chunks`` and c < j
     after max(P), scored in lexicographic order by the closed form of
@@ -563,7 +569,7 @@ def _best_prefix_pair(X, y, gram, corr, yy, s, floor) -> tuple:
                 ok &= resid >= floor
             redo = np.flatnonzero(~ok)
             for i in redo:
-                resid[i] = _unit_lstsq(X[:, support(i)], y)[1]
+                resid[i] = rss(support(i))
             n_lstsq += len(redo)
             low = float(np.min(np.maximum(resid, 0.0, out=resid)))
             if low <= best_obj:
@@ -740,7 +746,7 @@ def lq_constrained_ls(
     oracle warm start guarantees an objective no worse than at the truth, up to rounding.
     The converged flag only reports stationarity of the last run; no global
     claim is made.  A start not of shape (d,) raises DimensionError, and one
-    with a non-finite entry ParameterError.
+    with a non-finite entry ParameterError (not ``errors.as_design``'s, of length n).
     """
     if not 0.0 < ball.q < 1.0:
         raise ParameterError(f"lq solver requires q in (0, 1), got {ball.q}")

@@ -24,8 +24,8 @@ import numpy as np
 
 from .ballgeom import project_l1
 from .conditions import in_cone
-from .errors import (ConsistencyError, CovarianceError, DimensionError, ParameterError, as_scalar,
-                     as_tuple, require_finite, require_rows, require_scalars, store_scalars)
+from .errors import (ConsistencyError, CovarianceError, DimensionError, ParameterError, as_design,
+                     as_scalar, as_tuple, require_scalars, store_scalars)
 from .estimators import (
     _PARAMETER_RULES,
     EstimateResult,
@@ -318,7 +318,7 @@ def _rq_logd_n_pow(n: int, d: int, q: float, s, radius: Optional[float]) -> floa
     return radius * (math.log(d) / n) ** (1.0 - q / 2.0)
 
 
-# name -> (x(n, d, q, s, radius), theoretical slope of log risk against log x, given q)
+# name -> (x(n, d, q, s, radius), theoretical slope of log l2 risk against log x, given q)
 PREDICTORS = {
     "n": (lambda n, d, q, s, radius: float(n), lambda q: -(1.0 - q / 2.0)),
     "s_logd_over_n": (_s_logd_over_n, lambda q: 1.0),
@@ -341,11 +341,14 @@ def fit_rate_slope(
     Cell risk is the 2%-trimmed mean over trials (raw means kept alongside);
     zero-mean cells are excluded and counted.  The theoretical slope is -1
     (q = 0) or -(1 - q/2) against n, 1 - q/2 against the sequence model's
-    2 log n / n, and +1 against the composite predictors.  A ``loss_kind``
-    that a record does not carry raises ParameterError.
+    2 log n / n, and +1 against the composite predictors, for l2 loss; an lp
+    loss's exponent (p - q)/2 scales it by (p - q)/(2 - q), to 0 at p = q,
+    where the paper gives no lp bound.  A ``loss_kind`` that a record does
+    not carry raises ParameterError.
     """
     if predictor not in PREDICTORS:
         raise ParameterError(f"unknown predictor {predictor!r}; known: {list(PREDICTORS)}")
+    BallSpec(q, 1.0)  # q in [0, 1], as for a ball; q = 2 would divide the lp factor by 0
     x_of, theoretical_of = PREDICTORS[predictor]
     by_cell: dict = {}
     for rec in records:
@@ -373,9 +376,10 @@ def fit_rate_slope(
     resid = np.array(ys) - fitted
     total = np.array(ys) - np.mean(ys)
     r_squared = 1.0 - float(resid @ resid) / float(total @ total)
+    p = LossSpec.power_of(loss_kind)
     return RateFitResult(slope=float(slope), intercept=float(intercept),
-                         r_squared=r_squared, n_points=len(xs),
-                         loss_kind=loss_kind, theoretical_slope=theoretical_of(q),
+                         r_squared=r_squared, n_points=len(xs), loss_kind=loss_kind,
+                         theoretical_slope=theoretical_of(q) * ((p - q) / (2.0 - q)),
                          predictor=predictor, cells=tuple(cells),
                          excluded_zero_cells=excluded)
 
@@ -411,10 +415,7 @@ def min_l1_interpolant(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     C(d, r) exceeds the enumeration budget.  X of rank 0, with y = 0, gives
     the zero vector.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    require_rows(X, y=y)
-    require_finite(X=X, y=y)
+    X, y = as_design(X, y=y)
     d = X.shape[1]
     b_ls, _, r, sv = np.linalg.lstsq(X, y, rcond=None)
     # max norms, which do not underflow where a sum of squares would

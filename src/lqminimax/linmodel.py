@@ -77,6 +77,13 @@ class BallSpec:
             )
 
 
+def _require_dims(n: int, d: int) -> None:
+    """ParameterError unless n and d are integers >= 0, DimensionError unless both are >= 1."""
+    require_scalars("index", n=n, d=d)
+    if n < 1 or d < 1:
+        raise DimensionError(f"need n, d >= 1, got n={n}, d={d}")
+
+
 @dataclass(frozen=True)
 class DesignSpec:
     """Recipe for a design matrix.
@@ -101,8 +108,7 @@ class DesignSpec:
         if self.kind not in self._KINDS:
             raise ParameterError(f"unknown design kind {self.kind!r}")
         store_scalars(self, n="index", d="index", seed="index")
-        if self.n < 1 or self.d < 1:
-            raise DimensionError(f"need n, d >= 1, got n={self.n}, d={self.d}")
+        _require_dims(self.n, self.d)
         if self.kind == "correlated_gaussian":
             if self.sigma_cov is None:
                 raise ParameterError("correlated_gaussian requires a covariance")
@@ -157,13 +163,12 @@ class InstanceSpec:
             object.__setattr__(self, "root", symmetric_sqrt(self.sigma_cov))
 
     def draw(self, n: int, d: int, seed: int) -> ProblemInstance:
-        """The n x d instance of one trial, d being Sigma's size if correlated: design,
+        """The n x d instance of one trial (n, d >= 1, d Sigma's size if correlated): design,
         truth and noise from the streams derive_seed(seed, 1), derive_seed(seed, 2), seed."""
-        design_seed = derive_seed(seed, 1)
-        if self.root is None:
-            X = generate_design(DesignSpec(kind=self.design_kind, n=n, d=d, seed=design_seed))
-        else:
-            X = _gaussian_rows(n, d, design_seed, self.root)
+        _require_dims(n, d)
+        if self.root is not None and d != len(self.root):
+            raise CovarianceError(f"covariance is {len(self.root)} x {len(self.root)}, but d={d}")
+        X = _gaussian_rows(n, d, derive_seed(seed, 1), self.root)
         scale, factor = _MAGNITUDE_RULES[self.beta_magnitude_rule]
         beta = generate_sparse_beta(self.ball, d, pattern=self.beta_pattern,
                                     magnitude=getattr(self, scale) * factor(n, d),
@@ -199,9 +204,11 @@ class LossSpec:
 
     @property
     def name(self) -> str:
-        if self.kind == "l2_prediction":
-            return "pred"
-        return f"l{self.p:g}"
+        return "pred" if self.kind == "l2_prediction" else f"l{self.p:g}"
+
+    @staticmethod
+    def power_of(name: str) -> float:  # the p of the loss ``name``: 2 for pred, p for l<p>
+        return 2.0 if name == "pred" else float(name[1:])
 
 
 @dataclass(frozen=True)
@@ -392,14 +399,11 @@ def simulate(
 
     sigma = 0 gives the noiseless y = X beta_star exactly.  The noise is drawn
     from the noise stream of ``seed``, so designs built from the same seed's
-    design stream stay independent of it.
+    design stream stay independent of it.  Only shapes are checked: the solver checks X, y.
     """
-    X = np.asarray(X, dtype=float)
-    beta_star = np.asarray(beta_star, dtype=float)
-    if X.ndim != 2 or beta_star.shape != (X.shape[1],):
-        raise DimensionError(
-            f"shape mismatch: X {X.shape} vs beta_star {beta_star.shape}"
-        )
+    X, beta_star = (np.asarray(a, dtype=float) for a in (X, beta_star))
+    require_rows(X)
+    require_rows(X.T, beta_star=beta_star)  # X^T has d rows
     require_scalars("nonnegative", sigma=sigma)
     _, noise_rng = split_streams(seed)
     w = sigma * noise_rng.standard_normal(X.shape[0])
@@ -419,13 +423,11 @@ def loss(
     beta_hat: np.ndarray,
     beta_star: np.ndarray,
 ) -> float:
-    """Evaluate sum_j |bhat_j - b*_j|^p, or ||X(bhat - b*)||_2^2 / n."""
-    beta_hat = np.asarray(beta_hat, dtype=float)
-    beta_star = np.asarray(beta_star, dtype=float)
+    """Evaluate sum_j |bhat_j - b*_j|^p, or ||X(bhat - b*)||_2^2 / n.  Only shapes
+    are checked: it runs on every trial, on a design its solver has checked."""
+    beta_hat, beta_star = (np.asarray(a, dtype=float) for a in (beta_hat, beta_star))
     if beta_hat.shape != beta_star.shape:
-        raise DimensionError(
-            f"shape mismatch: {beta_hat.shape} vs {beta_star.shape}"
-        )
+        raise DimensionError(f"shape mismatch: {beta_hat.shape} vs {beta_star.shape}")
     delta = beta_hat - beta_star
     if loss_spec.kind == "lp":
         return float(np.sum(np.abs(delta) ** loss_spec.p))

@@ -34,7 +34,7 @@ from lqminimax.harness import (
     min_l1_interpolant,
     run_risk_experiment,
 )
-from lqminimax.linmodel import BallSpec, DesignSpec
+from lqminimax.linmodel import BallSpec, DesignSpec, LossSpec
 
 SEED = 20260808
 
@@ -42,11 +42,12 @@ SEED = 20260808
 @pytest.fixture(scope="module")
 def q0_run():
     # shared by criteria 2 and 4: standard Gaussian, s=4, d=32, sigma=1,
-    # 50 trials per cell, exact l0 estimator
+    # 50 trials per cell, exact l0 estimator; l1 and l4 losses for criterion 2
     cfg = ExperimentConfig(
         ball=BallSpec(0.0, 4), sigma=1.0, n_grid=(100, 200, 400, 800, 1600),
         estimator={"kind": "l0", "s": 4}, d_rule=("fixed", 32),
-        trials_per_cell=50, seed_root=SEED)
+        trials_per_cell=50, seed_root=SEED,
+        losses=(LossSpec.l2(), LossSpec.prediction(), LossSpec("lp", 1.0), LossSpec("lp", 4.0)))
     return run_risk_experiment(cfg)
 
 
@@ -70,8 +71,14 @@ def test_criterion_02_q0_l2_rate_shape(q0_run):
     fit = fit_rate_slope(q0_run.records, "l2", "n", q=0.0)
     assert -1.15 <= fit.slope <= -0.85
     assert fit.r_squared >= 0.95
+    # the lp risk decays as n^{-p/2} at q = 0; the band is l2's, within 15% of theory
+    lp = {name: fit_rate_slope(q0_run.records, name, "n", q=0.0) for name in ("l1", "l4")}
+    for name, theory in (("l1", -0.5), ("l4", -2.0)):
+        assert lp[name].theoretical_slope == theory
+        assert abs(lp[name].slope - theory) <= 0.15 * abs(theory), name
     print(f"\nACCEPTANCE 2 PASS: q=0 l2 slope {fit.slope:.4f} in [-1.15, -0.85], "
-          f"r^2 {fit.r_squared:.4f} >= 0.95")
+          f"r^2 {fit.r_squared:.4f} >= 0.95; l1 {lp['l1'].slope:.4f} within 15% of -0.5, "
+          f"l4 {lp['l4'].slope:.4f} within 15% of -2")
 
 
 def test_criterion_03_q1_l2_rate_shape():
@@ -83,13 +90,22 @@ def test_criterion_03_q1_l2_rate_shape():
         ball=BallSpec(1.0, 4.0), sigma=1.0, n_grid=(100, 200, 400, 800, 1600),
         estimator={"kind": "l1", "radius": 4.0, "max_iter": 3000, "tol": 1e-6},
         d_rule=("proportional", 0.5), trials_per_cell=50,
-        beta_magnitude_rule="threshold_logd", seed_root=SEED)
+        beta_magnitude_rule="threshold_logd", seed_root=SEED,
+        losses=(LossSpec.l2(), LossSpec.prediction(), LossSpec("lp", 1.5), LossSpec("lp", 4.0)))
     run = run_risk_experiment(cfg)
     fit = fit_rate_slope(run.records, "l2", "n", q=1.0)
     assert -0.65 <= fit.slope <= -0.35
     assert fit.r_squared >= 0.9
+    # the lp risk is R1 (log d / n)^{(p - 1)/2}, slope p - 1 against R1 (log d / n)^{1/2}
+    # (d grows with n, so not against n); the band is l2's, within 30% of theory
+    lp = {name: fit_rate_slope(run.records, name, "rq_logd_n_pow", q=1.0, radius=4.0)
+          for name in ("l1.5", "l4")}
+    for name, theory in (("l1.5", 0.5), ("l4", 3.0)):
+        assert lp[name].theoretical_slope == theory
+        assert abs(lp[name].slope - theory) <= 0.3 * theory, name
     print(f"\nACCEPTANCE 3 PASS: q=1 l2 slope {fit.slope:.4f} in [-0.65, -0.35], "
-          f"r^2 {fit.r_squared:.4f} >= 0.9")
+          f"r^2 {fit.r_squared:.4f} >= 0.9; against R1 (log d / n)^(1/2), "
+          f"l1.5 {lp['l1.5'].slope:.4f} within 30% of 0.5, l4 {lp['l4'].slope:.4f} within 30% of 3")
 
 
 def test_criterion_04_prediction_rate_shape(q0_run):

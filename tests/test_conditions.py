@@ -227,6 +227,22 @@ class TestProp1:
         rep = verify_prop1(spec, n_draws=1, n_directions=100, seed=2)
         assert rep.lower_violations == 0 and rep.upper_violations == 0
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_sparse_directions_fit_small_d(self, d):
+        # a support of up to 3 entries was drawn without replacement from d
+        # columns: numpy's untyped ValueError for d = 1, and for d = 2 on a size 3
+        rep = verify_prop1(DesignSpec("standard_gaussian", 10, d), n_draws=2, n_directions=40)
+        assert rep.n_checks == 80
+
+    def test_negative_diagonal_inside_the_psd_slack(self):
+        # symmetric_sqrt accepts -1e-11, so rho = max Sigma_jj < 0 reached a sqrt
+        # (math domain error); Sigma is zero up to the slack, so rho is 0
+        cov = np.diag([-1e-11] * 3)
+        spec = DesignSpec("correlated_gaussian", 10, 3, sigma_cov=cov)
+        rep = verify_prop1(spec, n_draws=1, n_directions=8)
+        assert rep.n_checks == 8 and math.isfinite(rep.lower_margin_min)
+        assert prop1_margins(generate_design(spec), cov, np.ones(3)) == (0.0, 0.0)
+
     def test_non_gaussian_rejected(self):
         # every design kind is a Gaussian row ensemble; another is refused with the spec
         with pytest.raises(ParameterError, match="unknown design kind"):

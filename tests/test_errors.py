@@ -1,5 +1,8 @@
 """The scalar contract: one rule table in ``errors``, and every public entry point that
-takes a scalar refuses a bad one with a ParameterError naming it."""
+takes a scalar refuses a bad one with a ParameterError naming it.  The array contract:
+every entry point that takes a design checks it through ``errors.as_design``."""
+
+import json
 
 import math
 
@@ -25,17 +28,22 @@ from lqminimax.bounds import (
     sup_correlation_exact,
     sup_correlation_pred_exact,
 )
+from lqminimax.cli import main as cli_main
 from lqminimax.conditions import (
     REParams,
+    column_norm_constant,
     diagnose,
     kernel_diameter,
     kernel_trivial_zero,
+    prop1_margins,
     re_constant,
     sparse_min_singular,
     sparse_spectrum,
     verify_prop1,
 )
-from lqminimax.errors import SCALAR_RULES, ParameterError, require_scalars
+from lqminimax.errors import SCALAR_RULES, DimensionError, ParameterError, require_scalars
+from lqminimax.estimators import l1_constrained_ls, lasso, lq_constrained_ls
+from lqminimax.harness import min_l1_interpolant
 from lqminimax.linmodel import (BallSpec, DesignSpec, InstanceSpec, derive_seed, generate_design,
                                 generate_sparse_beta, simulate, split_streams)
 
@@ -176,3 +184,64 @@ def test_boundary_values_accepted():
     assert log_binomial(0, 0).value == 0.0
     assert not chi_square_tails(np.int64(3), np.float32(0.5)).simplified_valid  # numpy scalars
     assert simulate(_X, np.ones(4), 0).sigma == 0.0
+
+
+# entry point -> (its call on a design X and a vector, the vector's name and the axis
+# of X its length must match, or None when it takes no vector)
+_DESIGN_CALLS = {
+    "l1_constrained_ls": (lambda X, y: l1_constrained_ls(X, y, 1.0), ("y", 0)),
+    "lq_constrained_ls": (lambda X, y: lq_constrained_ls(X, y, BallSpec(0.5, 1.0),
+                                                         [np.zeros(4)]), ("y", 0)),
+    "lasso": (lambda X, y: lasso(X, y, 0.1), ("y", 0)),
+    "sup_correlation_exact": (lambda X, w: sup_correlation_exact(X, w, 1, 1.0), ("w", 0)),
+    "sup_correlation_pred_exact": (lambda X, w: sup_correlation_pred_exact(X, w, 1, 1.0),
+                                   ("w", 0)),
+    "min_l1_interpolant": (lambda X, y: min_l1_interpolant(X, y), ("y", 0)),
+    "column_norm_constant": (lambda X, _: column_norm_constant(X), None),
+    "sparse_spectrum": (lambda X, _: sparse_spectrum(X, 1), None),
+    "sparse_min_singular": (lambda X, _: sparse_min_singular(X, 1), None),
+    "kernel_trivial_zero": (lambda X, _: kernel_trivial_zero(X, 1), None),
+    "re_constant": (lambda X, _: re_constant(X, REParams(s=1, c0=1.0), n_samples=10), None),
+    "kernel_diameter": (lambda X, _: kernel_diameter(X, BallSpec(0.5, 1.0), n_samples=10),
+                        None),
+    "prop1_margins": (lambda X, v: prop1_margins(X, np.eye(4), v), ("v", 1)),
+    "diagnose": (lambda X, _: diagnose(X, 1, n_samples=10), None),
+}
+
+# bad input -> (X's shape, the vector's shape, the argument holding a NaN, the error);
+# 6 x 4 is a valid design, and "vector" stands for the vector's name
+_BAD_DESIGNS = {
+    "1-D X": ((6,), 6, None, r"X must be 2-D and non-empty, got shape \(6,\)"),
+    "0-row X": ((0, 4), 0, None, r"X must be 2-D and non-empty, got shape \(0, 4\)"),
+    "0-column X": ((6, 0), 6, None, r"X must be 2-D and non-empty, got shape \(6, 0\)"),
+    "vector of the wrong length": ((6, 4), 7, None, r"vector has shape \(7,\), expected"),
+    "NaN in X": ((6, 4), None, "X", "X has non-finite entries"),
+    "NaN in the vector": ((6, 4), None, "vector", "vector has non-finite entries"),
+}
+_BAD_CASES = [(entry, bad) for entry in sorted(_DESIGN_CALLS) for bad in _BAD_DESIGNS
+              if _DESIGN_CALLS[entry][1] or "vector" not in bad]
+
+
+@pytest.mark.parametrize("entry, bad", _BAD_CASES)
+def test_bad_design_refused(entry, bad):
+    # the conditions entry points used to end in numpy's untyped ValueError,
+    # IndexError, LinAlgError or TypeError here, or return a number
+    call, vector = _DESIGN_CALLS[entry]
+    name, axis = vector or ("", 0)
+    shape, length, nan_in, message = _BAD_DESIGNS[bad]
+    X = np.random.default_rng(3).standard_normal(shape)
+    v = np.ones(X.shape[axis] if length is None else length)
+    if nan_in == "X":
+        X[2, 1] = np.nan
+    elif nan_in == "vector":
+        v[1] = np.nan
+    error = ParameterError if nan_in else DimensionError
+    with pytest.raises(error, match="^" + message.replace("vector", name)):
+        call(X, v)
+
+
+def test_check_design_refuses_a_vector(tmp_path):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"X": [1, 2, 3, 4]}))
+    with pytest.raises(DimensionError, match=r"^X must be 2-D and non-empty, got shape \(4,\)$"):
+        cli_main(["check-design", "--input", str(path), "--s", "1"])

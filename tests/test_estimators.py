@@ -85,6 +85,20 @@ class TestL0:
         assert scaled.support == base.support
         assert np.allclose(scaled.beta_hat, 3.0 * base.beta_hat, atol=1e-9)
 
+    @pytest.mark.parametrize("scale", [1e-140, 1e-100, 1e100, 1e140])
+    def test_scores_exact_at_any_scale(self, scale):
+        # the squared Gram products left the double range beyond about 1e+-77:
+        # 1e-100 gave (0, 1, 2, 3) with no support redone, and 1e100 redid all
+        # 210 supports by lstsq
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((50, 10))
+        y = X[:, 0] + X[:, 1] + X[:, 2] + rng.standard_normal(50)
+        base = l0_least_squares(X, y, 4)
+        res = l0_least_squares(scale * X, scale * y, 4)
+        assert res.support == base.support == (0, 1, 2, 4)
+        assert res.info == base.info and res.info["lstsq_supports"] == 0
+        assert np.allclose(res.beta_hat, base.beta_hat, rtol=1e-12, atol=0.0)
+
     def test_rank_deficient_support_min_norm(self):
         # duplicated column: the winning submatrix is singular
         col = np.array([1.0, 2.0, 3.0])

@@ -533,6 +533,21 @@ class TestFitRateSlope:
         assert fit.slope == pytest.approx(1.0, abs=1e-12)
         assert fit.theoretical_slope == 1.0
 
+    @pytest.mark.parametrize("predictor", sorted(harness.PREDICTORS))
+    @pytest.mark.parametrize("p", [1.0, 1.5, 4.0])
+    def test_lp_theory_follows_p(self, predictor, p):
+        # the p-th power loss decays as (log d / n)^{(p - q)/2}; every lp fit used
+        # to state l2's slope
+        name = LossSpec("lp", p).name
+        recs = [TrialRecord(n=n, d=16, trial=0, seed=0, losses={name: 1.0 / n},
+                            objective_ok=True, wall_ms=0.0) for n in (100, 200, 400)]
+        for q in (0.0, 0.5, 1.0):
+            exponent = (p - q) / 2.0
+            want = {"n": -exponent, "two_logn_over_n": exponent}.get(predictor,
+                                                                      exponent / (1.0 - q / 2.0))
+            fit = fit_rate_slope(recs, name, predictor, q=q, s=2, radius=2.0)
+            assert fit.theoretical_slope == pytest.approx(want, abs=1e-15)
+
 
 class TestCounterexample:
     def test_all_checks_true(self):
@@ -785,6 +800,8 @@ class TestSequenceModelConfig:
             fit_rate_slope(recs, predictor="rq_logd_n_pow", q=1.0)
         with pytest.raises(ParameterError, match="unknown predictor"):
             fit_rate_slope(recs, predictor="log_n")
+        with pytest.raises(ParameterError, match=r"^q must lie in \[0, 1\], got 2.0$"):
+            fit_rate_slope(recs, q=2.0)
 
     def test_two_logn_over_n_predictor(self):
         recs = _synthetic_records(lambda n: 2.0 * math.log(n) / n)

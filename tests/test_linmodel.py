@@ -244,6 +244,29 @@ class TestDiagonalRoot:
         assert _same_bits(generate_design(spec), W @ _dense_root(cov))
 
 
+class TestInstanceDraw:
+    def test_standard_design_is_generate_designs(self):
+        inst = InstanceSpec(ball=BallSpec(0.0, 2), sigma=1.0).draw(7, 5, 11)
+        spec = DesignSpec("standard_gaussian", 7, 5, seed=derive_seed(11, 1))
+        assert _same_bits(inst.X, generate_design(spec))
+
+    @pytest.mark.parametrize("kind", ["standard_gaussian", "correlated_gaussian"])
+    @pytest.mark.parametrize("n, d", [(0, 3), (4, 0)])
+    def test_empty_draw_refused(self, kind, n, d):
+        # a correlated draw at n = 0 used to return an empty instance
+        cov = np.eye(3).tolist() if kind == "correlated_gaussian" else None
+        spec = InstanceSpec(ball=BallSpec(0.5, 1.0), sigma=1.0, design_kind=kind, sigma_cov=cov)
+        with pytest.raises(DimensionError, match=f"^need n, d >= 1, got n={n}, d={d}$"):
+            spec.draw(n, d, 0)
+
+    def test_covariance_of_another_size_refused(self):
+        # numpy's untyped broadcast ValueError before
+        spec = InstanceSpec(ball=BallSpec(0.0, 1), sigma=1.0, design_kind="correlated_gaussian",
+                            sigma_cov=np.eye(3).tolist())
+        with pytest.raises(CovarianceError, match=r"^covariance is 3 x 3, but d=5$"):
+            spec.draw(4, 5, 0)
+
+
 class TestGenerateSparseBeta:
     def test_first_coordinates_q0(self):
         beta = generate_sparse_beta(BallSpec(0.0, 1), 3, pattern="first_coordinates")
